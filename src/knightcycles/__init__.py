@@ -21,18 +21,7 @@ from .cycles import (
     validate_cycle,
 )
 from .geometry import orientation, segments_cross, is_simple
-from .search import (
-    EnumerationOptions,
-    EnumerationSummary,
-    HalfPath,
-    HalfPathBudgetError,
-    assemble,
-    enumerate_cycles,
-    enumerate_dfs,
-    enumerate_mitm,
-    half_paths,
-    start_set,
-)
+from .search import EnumerationSummary, HalfPathBudgetError, enumerate_cycles
 from .analysis import (
     EXPECTED_COUNTS,
     CycleFileWriter,

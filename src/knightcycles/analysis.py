@@ -164,14 +164,26 @@ class CycleFileWriter:
         self._body.write("\n")
 
     def close(self) -> None:
+        """Publish the listing.  Header and body go to a staging file beside
+        the target, which then replaces it in one step, so a failure part-way
+        leaves any earlier listing at the path intact."""
+        # Unique while the body file exists; O_EXCL refuses a stray file.
+        staged = self._body.name + ".listing"
         try:
             self._body.flush()
             self._body.seek(0)
-            with open(self.path, "w", newline="\n") as out:
-                out.write(f"{FORMAT_MAGIC} {FORMAT_VERSION} k={self.k} "
-                          f"board={self.board.width}x{self.board.height} "
-                          f"count={self.count} filter={self.filter_tag}\n")
-                shutil.copyfileobj(self._body, out)
+            # Mode 0o666 less the umask, as open(path, "w") would create it.
+            fd = os.open(staged, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            try:
+                with open(fd, "w", newline="\n") as out:
+                    out.write(f"{FORMAT_MAGIC} {FORMAT_VERSION} k={self.k} "
+                              f"board={self.board.width}x{self.board.height} "
+                              f"count={self.count} filter={self.filter_tag}\n")
+                    shutil.copyfileobj(self._body, out)
+                os.replace(staged, self.path)
+            except BaseException:
+                os.unlink(staged)
+                raise
         finally:
             self._body.close()
             os.unlink(self._body.name)

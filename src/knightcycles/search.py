@@ -1,28 +1,36 @@
-"""The two construction engines and the parallel driver.
+"""The two construction engines and the one shard driver that runs them.
 
-Both engines enumerate, for each admissible start cell s, closed knight
-sequences that begin at s and never visit a cell numbered below s, and keep
-exactly those whose sequence is the canonical form of its equivalence class.
-Dropping sub-s cells is safe: a completed sequence through a smaller cell can
-always be rotated to start there, which is lexicographically smaller, so such
+Both engines produce, for one admissible start cell s, closed knight
+sequences that begin at s and never visit a cell numbered below s.  Dropping
+sub-s cells is safe: a completed sequence through a smaller cell can always
+be rotated to start there, which is lexicographically smaller, so such
 sequences are never canonical.
 
 The exhaustive engine extends one path cell by cell.  The assembly engine
-builds all half-length paths from s to every possible opposite cell t and
+builds all half-length paths from s to one possible opposite cell t and
 glues disjoint pairs; each closed sequence arises from exactly one ordered
 pair of halves, so canonical filtering again counts every class exactly once,
 with no memory of previously found solutions in either engine.
+
+``enumerate_cycles`` is the only driver.  It splits the work into shards,
+one start cell ``(s,)`` for dfs and one pair ``(s, t)`` for mitm, and runs
+each through ``_run_shard``: inline when jobs=1, in a process pool
+otherwise.  The engines only hand closures to an ``emit`` callback;
+``_run_shard`` keeps the canonical ones, counts them and their simple subset
+and, when the caller gave a sink, writes the kept sequences sorted to a shard
+file.  The sink receives the heap merge of those files, so the summary and
+the stream are the same for every jobs value.
 """
 
 from __future__ import annotations
 
+import contextlib
 import heapq
 import os
 import tempfile
 import time
-from collections import deque
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from multiprocessing import Pool
 
 from .board import BoardSpec, adjacency
@@ -30,24 +38,6 @@ from .cycles import _is_minimal_square
 from .geometry import crossing_table
 
 UNREACHED = 255
-
-
-@dataclass(frozen=True)
-class StartSet:
-    """Start cells {1..k/2+1}: the first cell of a canonical sequence of
-    length k always lies in this prefix of the top row."""
-
-    k: int
-    cells: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class EnumerationOptions:
-    simple_filter: bool = False
-    # Forward only non-self-intersecting cycles to the sink (needs simple_filter).
-    emit_only_simple: bool = False
-    # Cap on half paths held in memory for one (s, t) pair.
-    half_path_budget: int | None = None
 
 
 @dataclass
@@ -80,11 +70,6 @@ def _check_length(k: int) -> None:
         raise ValueError(f"cycle length must be an even number >= 4, got {k}")
 
 
-def start_set(k: int) -> StartSet:
-    _check_length(k)
-    return StartSet(k, tuple(range(1, k // 2 + 2)))
-
-
 @lru_cache(maxsize=64)
 def _filtered_adjacency(board: BoardSpec, s: int) -> tuple[tuple[int, ...], ...]:
     """Adjacency restricted to cells >= s (the canonical-start prune)."""
@@ -94,12 +79,10 @@ def _filtered_adjacency(board: BoardSpec, s: int) -> tuple[tuple[int, ...], ...]
 def _distances(adj: list[tuple[int, ...]], sources, size: int) -> list[int]:
     """BFS move counts to the nearest source, over the filtered adjacency."""
     dist = [UNREACHED] * (size + 1)
-    queue = deque()
-    for c in sources:
+    queue = list(sources)
+    for c in queue:
         dist[c] = 0
-        queue.append(c)
-    while queue:
-        u = queue.popleft()
+    for u in queue:  # grows while iterated, so this visits in FIFO order
         du = dist[u] + 1
         for v in adj[u]:
             if dist[v] == UNREACHED:
@@ -112,9 +95,9 @@ def _col0_cells(board: BoardSpec, s: int) -> list[int]:
     return [c for c in range(1, board.size + 1, board.width) if c >= s]
 
 
-def _dfs_one_start(board: BoardSpec, k: int, s: int, options: EnumerationOptions,
-                   sink, collect: bool):
-    """Exhaustive backtracking from one start cell.
+def _dfs_one_start(board: BoardSpec, k: int, s: int, emit) -> None:
+    """Exhaustive backtracking from one start cell: emit every closed path
+    of k cells from s (one list object, reused between calls).
 
     Two sound cuts beyond the >= s rule: a partial path is dropped when the
     closing cell is no longer reachable in the remaining moves, or when the
@@ -125,32 +108,14 @@ def _dfs_one_start(board: BoardSpec, k: int, s: int, options: EnumerationOptions
     adj_s = _filtered_adjacency(board, s)
     dist_s = _distances(adj_s, (s,), board.size)
     dist_col0 = _distances(adj_s, _col0_cells(board, s), board.size)
-    table = crossing_table(board) if options.simple_filter else None
-
-    count = 0
-    simple = 0
-    emitted: list[tuple[int, ...]] | None = [] if collect else None
     visited = bytearray(board.size + 1)
     visited[s] = 1
     path = [s]
 
     def extend(u: int, depth: int, col0_seen: bool) -> None:
-        nonlocal count, simple
         if depth == k:
-            if dist_s[u] == 1 and _is_minimal_square(path, side):
-                count += 1
-                keep = True
-                if table is not None:
-                    if table.is_simple_cells(path):
-                        simple += 1
-                    elif options.emit_only_simple:
-                        keep = False
-                if keep and (sink is not None or emitted is not None):
-                    cycle = tuple(path)
-                    if sink is not None:
-                        sink(cycle)
-                    if emitted is not None:
-                        emitted.append(cycle)
+            if dist_s[u] == 1:
+                emit(path)
             return
         remaining = k - depth
         for v in adj_s[u]:
@@ -164,7 +129,6 @@ def _dfs_one_start(board: BoardSpec, k: int, s: int, options: EnumerationOptions
                 visited[v] = 0
 
     extend(s, 1, s % side == 1)
-    return count, simple, emitted
 
 
 def _half_paths_raw(board: BoardSpec, k: int, s: int, t: int,
@@ -204,55 +168,13 @@ def _half_paths_raw(board: BoardSpec, k: int, s: int, t: int,
     return out
 
 
-@dataclass(frozen=True)
-class HalfPath:
-    """An open s -> t path of k/2 knight moves, the assembly building block."""
-
-    cells: tuple[int, ...]
-    visited: frozenset[int]
-    board: BoardSpec
-
-    @property
-    def start(self) -> int:
-        return self.cells[0]
-
-    @property
-    def end(self) -> int:
-        return self.cells[-1]
-
-
-def half_paths(s: int, t: int, k: int, board: BoardSpec) -> list[HalfPath]:
-    """All connecting s -> t paths of length k/2 whose cells are all >= s,
-    in deterministic (ascending) order.  Empty when none exist."""
-    _check_length(k)
-    raw = _half_paths_raw(board, k, s, t, budget=None)
-    return [HalfPath(cells, frozenset(cells), board) for cells, _ in raw]
-
-
-def assemble(a: HalfPath, b: HalfPath):
-    """Glue two halves with the same endpoints into a closed cycle: a's cells
-    followed by b's interior reversed.  None when their interiors collide."""
-    if a.cells[0] != b.cells[0] or a.cells[-1] != b.cells[-1]:
-        raise ValueError(
-            f"halves do not share endpoints: {a.cells[0]}->{a.cells[-1]} "
-            f"vs {b.cells[0]}->{b.cells[-1]}")
-    if a.visited & b.visited != {a.cells[0], a.cells[-1]}:
-        return None
-    from .cycles import CycleSeq
-    return CycleSeq(a.cells + b.cells[-2:0:-1], a.board)
-
-
 def _mitm_one_pair(board: BoardSpec, k: int, s: int, t: int,
-                   options: EnumerationOptions, sink, collect: bool):
-    """Assemble and filter all cycles with start s and opposite cell t."""
-    side = board.width
-    halves = _half_paths_raw(board, k, s, t, options.half_path_budget)
-    count = 0
-    simple = 0
-    emitted: list[tuple[int, ...]] | None = [] if collect else None
+                   budget: int | None, emit) -> None:
+    """Emit every closure with start s and opposite cell t that two s -> t
+    halves with disjoint interiors glue into."""
+    halves = _half_paths_raw(board, k, s, t, budget)
     if len(halves) < 2:
-        return count, simple, emitted
-    table = crossing_table(board) if options.simple_filter else None
+        return
     col0_mask = 0
     for c in _col0_cells(board, s):
         col0_mask |= 1 << c
@@ -279,21 +201,7 @@ def _mitm_one_pair(board: BoardSpec, k: int, s: int, t: int,
                 continue
             if not ((a_mask | b_mask) & col0_mask):
                 continue
-            seq = a_cells + b_cells[-2:0:-1]
-            if _is_minimal_square(seq, side):
-                count += 1
-                keep = True
-                if table is not None:
-                    if table.is_simple_cells(seq):
-                        simple += 1
-                    elif options.emit_only_simple:
-                        keep = False
-                if keep:
-                    if sink is not None:
-                        sink(seq)
-                    if emitted is not None:
-                        emitted.append(seq)
-    return count, simple, emitted
+            emit(a_cells + b_cells[-2:0:-1])
 
 
 def _mitm_pairs_for_start(board: BoardSpec, k: int, s: int):
@@ -307,73 +215,49 @@ def _mitm_pairs_for_start(board: BoardSpec, k: int, s: int):
             if dist_s[t] <= m and (dist_s[t] - m) % 2 == 0]
 
 
-def enumerate_dfs(k: int, sink=None, options: EnumerationOptions | None = None,
-                  ) -> EnumerationSummary:
-    """Count (and optionally emit) every nonequivalent cycle of length k by
-    exhaustive backtracking."""
-    _check_length(k)
-    options = options or EnumerationOptions()
+def _run_shard(algorithm: str, k: int, simple_filter: bool,
+               emit_only_simple: bool, half_path_budget: int | None,
+               shard_dir: str | None, shard: tuple[int, ...]):
+    """Run one shard, a start cell (dfs) or an (s, t) pair (mitm), and keep
+    the canonical closures its engine emits.
+
+    Returns (shard, count, simple, shard_file).  Kept sequences are held only
+    when shard_dir is given; they then go, sorted, to a shard file there.  A
+    shard that keeps nothing writes no file and returns None for it.
+    """
     board = BoardSpec.for_cycle_length(k)
-    started = time.perf_counter()
-    per_start: dict[int, int] = {}
-    total = 0
+    side = board.width
+    table = crossing_table(board) if simple_filter else None
+    kept: list[tuple[int, ...]] | None = [] if shard_dir is not None else None
+    count = 0
     simple = 0
-    for s in start_set(k).cells:
-        c, sc, _ = _dfs_one_start(board, k, s, options, sink, collect=False)
-        per_start[s] = c
-        total += c
-        simple += sc
-    return EnumerationSummary(
-        k=k, algorithm="dfs", total=total,
-        simple=simple if options.simple_filter else None,
-        per_start=per_start, elapsed=time.perf_counter() - started)
 
+    def emit(seq) -> None:
+        nonlocal count, simple
+        if not _is_minimal_square(seq, side):
+            return
+        count += 1
+        if table is not None:
+            if table.is_simple_cells(seq):
+                simple += 1
+            elif emit_only_simple:
+                return
+        if kept is not None:
+            kept.append(tuple(seq))
 
-def enumerate_mitm(k: int, sink=None, options: EnumerationOptions | None = None,
-                   ) -> EnumerationSummary:
-    """Count (and optionally emit) every nonequivalent cycle of length k by
-    meet-in-the-middle half-path assembly."""
-    _check_length(k)
-    options = options or EnumerationOptions()
-    board = BoardSpec.for_cycle_length(k)
-    started = time.perf_counter()
-    per_start: dict[int, int] = {}
-    total = 0
-    simple = 0
-    for s in start_set(k).cells:
-        c_start = 0
-        for t in _mitm_pairs_for_start(board, k, s):
-            c, sc, _ = _mitm_one_pair(board, k, s, t, options, sink, collect=False)
-            c_start += c
-            simple += sc
-        per_start[s] = c_start
-        total += c_start
-    return EnumerationSummary(
-        k=k, algorithm="mitm", total=total,
-        simple=simple if options.simple_filter else None,
-        per_start=per_start, elapsed=time.perf_counter() - started)
-
-
-def _run_shard(args):
-    """Worker entry: one start cell (dfs) or one (s, t) pair (mitm).
-    Emissions, when requested, go to a sorted shard file."""
-    algorithm, k, shard, options, shard_dir = args
-    board = BoardSpec.for_cycle_length(k)
-    collect = shard_dir is not None
     if algorithm == "dfs":
-        (s,) = shard
-        count, simple, emitted = _dfs_one_start(board, k, s, options, None, collect)
+        _dfs_one_start(board, k, *shard, emit)
     else:
-        s, t = shard
-        count, simple, emitted = _mitm_one_pair(board, k, s, t, options, None, collect)
-    shard_file = None
-    if collect:
-        shard_file = os.path.join(
-            shard_dir, f"{algorithm}-{'-'.join(map(str, shard))}.shard")
-        with open(shard_file, "w") as fh:
-            for seq in sorted(emitted):
-                fh.write(" ".join(map(str, seq)))
-                fh.write("\n")
+        _mitm_one_pair(board, k, *shard, half_path_budget, emit)
+    if not kept:
+        return shard, count, simple, None
+    shard_file = os.path.join(
+        shard_dir, f"{algorithm}-{'-'.join(map(str, shard))}.shard")
+    kept.sort()
+    with open(shard_file, "w") as fh:
+        for seq in kept:
+            fh.write(" ".join(map(str, seq)))
+            fh.write("\n")
     return shard, count, simple, shard_file
 
 
@@ -387,12 +271,14 @@ def enumerate_cycles(k: int, algorithm: str = "dfs", *,
                      simple_filter: bool = False, emit_only_simple: bool = False,
                      jobs: int = 1, sink=None,
                      half_path_budget: int | None = None) -> EnumerationSummary:
-    """Driver over both engines with optional parallel sharding.
+    """Count (and optionally emit) every nonequivalent cycle of length k.
 
-    Work is partitioned by start cell (dfs) or by (s, t) pair (mitm); shard
-    results only ever reach the caller through order-independent merging, so
-    the summary and the sink stream are identical for every jobs value.  The
-    sink, when given, receives canonical sequences in ascending order.
+    Work is partitioned by start cell (dfs) or by (s, t) pair (mitm) and run
+    inline (jobs=1) or in a pool of ``jobs`` processes.  A count-only call
+    holds no sequences and writes no files.  With a sink, every shard's kept
+    sequences go sorted to a file in a temporary directory and the sink
+    receives their merge: canonical sequences in strictly ascending order,
+    identical for every jobs value.
     """
     _check_length(k)
     if algorithm not in ("dfs", "mitm"):
@@ -401,45 +287,34 @@ def enumerate_cycles(k: int, algorithm: str = "dfs", *,
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     if emit_only_simple and not simple_filter:
         raise ValueError("emit_only_simple requires simple_filter")
-    options = EnumerationOptions(
-        simple_filter=simple_filter, emit_only_simple=emit_only_simple,
-        half_path_budget=half_path_budget)
-
-    engine = enumerate_dfs if algorithm == "dfs" else enumerate_mitm
-    if jobs == 1:
-        if sink is None:
-            return engine(k, None, options)
-        buffer: list[tuple[int, ...]] = []
-        summary = engine(k, buffer.append, options)
-        for seq in sorted(buffer):
-            sink(seq)
-        return summary
 
     board = BoardSpec.for_cycle_length(k)
     started = time.perf_counter()
+    # A canonical sequence of length k starts in the top-row prefix 1..k/2+1.
+    starts = range(1, k // 2 + 2)
     if algorithm == "dfs":
-        shards = [(s,) for s in start_set(k).cells]
+        shards = [(s,) for s in starts]
     else:
-        shards = [(s, t) for s in start_set(k).cells
-                  for t in _mitm_pairs_for_start(board, k, s)]
-    per_start = {s: 0 for s in start_set(k).cells}
-    total = 0
-    simple = 0
-    with tempfile.TemporaryDirectory(prefix="knightcycles-") as tmp:
-        shard_dir = tmp if sink is not None else None
-        args = [(algorithm, k, shard, options, shard_dir) for shard in shards]
-        shard_files = []
-        with Pool(processes=min(jobs, len(args))) as pool:
-            for shard, count, sc, shard_file in pool.imap_unordered(_run_shard, args):
-                per_start[shard[0]] += count
-                total += count
-                simple += sc
-                if shard_file is not None:
-                    shard_files.append(shard_file)
+        shards = [(s, t) for s in starts for t in _mitm_pairs_for_start(board, k, s)]
+    with (tempfile.TemporaryDirectory(prefix="knightcycles-") if sink is not None
+          else contextlib.nullcontext()) as shard_dir:
+        run = partial(_run_shard, algorithm, k, simple_filter, emit_only_simple,
+                      half_path_budget, shard_dir)
+        if jobs == 1:
+            results = [run(shard) for shard in shards]
+        else:
+            with Pool(processes=min(jobs, len(shards))) as pool:
+                results = list(pool.imap_unordered(run, shards))
         if sink is not None:
-            for seq in heapq.merge(*(_read_shard(p) for p in sorted(shard_files))):
+            shard_files = [f for *_, f in results if f is not None]
+            for seq in heapq.merge(*map(_read_shard, shard_files)):
                 sink(seq)
+    per_start = dict.fromkeys(starts, 0)
+    simple = 0
+    for shard, shard_count, shard_simple, _ in results:
+        per_start[shard[0]] += shard_count
+        simple += shard_simple
     return EnumerationSummary(
-        k=k, algorithm=algorithm, total=total,
+        k=k, algorithm=algorithm, total=sum(per_start.values()),
         simple=simple if simple_filter else None,
         per_start=per_start, elapsed=time.perf_counter() - started)

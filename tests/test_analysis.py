@@ -1,3 +1,7 @@
+import os
+import shutil
+import stat
+
 import pytest
 
 from knightcycles.analysis import (
@@ -168,6 +172,31 @@ class TestCycleFiles:
         writer.write(keys_by_k(4)[0])
         writer.abort()
         assert list(tmp_path.iterdir()) == []
+
+    def test_failed_close_keeps_previous_listing(self, tmp_path, keys_by_k,
+                                                 monkeypatch):
+        path = tmp_path / "x.cycles"
+        write_cycles(keys_by_k(6), path)
+        previous = path.read_bytes()
+
+        def copy_then_fail(src, dst):
+            dst.write(src.read(10))
+            raise OSError("disk full")
+
+        monkeypatch.setattr(shutil, "copyfileobj", copy_then_fail)
+        with pytest.raises(OSError, match="disk full"):
+            write_cycles(keys_by_k(8), path)
+        assert path.read_bytes() == previous
+        assert [p.name for p in tmp_path.iterdir()] == ["x.cycles"]
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077])
+    def test_listing_mode_follows_umask(self, tmp_path, keys_by_k, umask):
+        old = os.umask(umask)
+        try:
+            write_cycles(keys_by_k(4), tmp_path / "x.cycles")
+        finally:
+            os.umask(old)
+        assert stat.S_IMODE((tmp_path / "x.cycles").stat().st_mode) == 0o666 & ~umask
 
 
 class TestRender:

@@ -1,119 +1,136 @@
+import tempfile
+
 import pytest
 
 from knightcycles.board import BoardSpec, adjacency, coord_of
 from knightcycles.cycles import CycleSeq, _canonical_coords, validate_cycle
 from knightcycles.search import (
-    EnumerationOptions,
     HalfPathBudgetError,
-    assemble,
+    _half_paths_raw,
+    _mitm_one_pair,
     enumerate_cycles,
-    enumerate_dfs,
-    enumerate_mitm,
-    half_paths,
-    start_set,
 )
 from conftest import EXPECTED_SMALL
 
 
+def _mask(cells) -> int:
+    return sum(1 << c for c in cells)
+
+
+def _pair_emissions(board, k, s, t) -> list[tuple[int, ...]]:
+    """Every closure one mitm (s, t) shard emits, before the canonical test."""
+    out: list[tuple[int, ...]] = []
+    _mitm_one_pair(board, k, s, t, None, out.append)
+    return out
+
+
 class TestStartSet:
+    """The start cells 1..k/2+1, as the keys of the per-start counts."""
+
     def test_values(self):
-        assert start_set(6).cells == (1, 2, 3, 4)
-        assert start_set(4).cells == (1, 2, 3)
-        assert start_set(16).cells == tuple(range(1, 10))
+        assert tuple(enumerate_cycles(6).per_start) == (1, 2, 3, 4)
+        assert tuple(enumerate_cycles(4).per_start) == (1, 2, 3)
+        assert tuple(enumerate_cycles(8, "mitm").per_start) == (1, 2, 3, 4, 5)
 
     @pytest.mark.parametrize("bad", [3, 5, 2, 0, -4])
     def test_rejects_bad_lengths(self, bad):
         with pytest.raises(ValueError):
-            start_set(bad)
+            enumerate_cycles(bad)
 
-    def test_within_top_row(self):
-        for k in (4, 6, 8, 10, 16):
-            assert max(start_set(k).cells) <= k + 1
+    def test_within_top_row(self, keys_by_k):
+        for k in (4, 6, 8):
+            starts = enumerate_cycles(k, "mitm").per_start
+            assert max(starts) <= k + 1
+            assert {key[0] for key in keys_by_k(k)} <= set(starts)
 
 
 class TestHalfPaths:
     def test_single_path(self, board5):
-        got = half_paths(1, 15, 4, board5)
-        assert [h.cells for h in got] == [(1, 8, 15)]
-        assert got[0].visited == {1, 8, 15}
+        assert _half_paths_raw(board5, 4, 1, 15, None) == [
+            ((1, 8, 15), _mask((1, 8, 15)))]
 
     def test_no_path(self, board5):
-        assert half_paths(1, 25, 4, board5) == []
+        assert _half_paths_raw(board5, 4, 1, 25, None) == []
 
     def test_two_paths(self, board5):
-        got = [h.cells for h in half_paths(2, 18, 4, board5)]
-        assert (2, 9, 18) in got
-        assert (2, 11, 18) in got
+        got = dict(_half_paths_raw(board5, 4, 2, 18, None))
+        assert got[(2, 9, 18)] == _mask((2, 9, 18))
+        assert got[(2, 11, 18)] == _mask((2, 11, 18))
 
     def test_deterministic_ascending_order(self, board5):
-        got = [h.cells for h in half_paths(2, 18, 4, board5)]
+        got = [cells for cells, _ in _half_paths_raw(board5, 4, 2, 18, None)]
         assert got == sorted(got)
 
     def test_invariants(self):
         board = BoardSpec.square(9)
         for t in (12, 20, 30):
-            for h in half_paths(2, t, 8, board):
-                assert len(h.cells) == 5
-                assert len(set(h.cells)) == 5
-                assert h.cells[0] == 2 and h.cells[-1] == t
-                assert all(c >= 2 for c in h.cells)
-                assert t not in h.cells[1:-1]
-                coords = [coord_of(i, board) for i in h.cells]
+            for cells, mask in _half_paths_raw(board, 8, 2, t, None):
+                assert len(cells) == 5
+                assert len(set(cells)) == 5
+                assert mask == _mask(cells)
+                assert cells[0] == 2 and cells[-1] == t
+                assert all(c >= 2 for c in cells)
+                assert t not in cells[1:-1]
+                coords = [coord_of(i, board) for i in cells]
                 for a, b in zip(coords, coords[1:]):
                     dr, dc = abs(a[0] - b[0]), abs(a[1] - b[1])
                     assert {dr, dc} == {1, 2}
 
 
 class TestAssemble:
+    """One mitm (s, t) shard glues pairs of s -> t halves."""
+
     def test_glues_two_halves(self, board5):
-        halves = {h.cells: h for h in half_paths(2, 18, 4, board5)}
-        cycle = assemble(halves[(2, 9, 18)], halves[(2, 11, 18)])
-        assert cycle.cells == (2, 9, 18, 11)
-        validate_cycle(cycle.cells, board5)
+        assert _pair_emissions(board5, 4, 2, 18) == [(2, 9, 18, 11)]
+        validate_cycle((2, 9, 18, 11), board5)
 
     def test_rejects_same_half(self, board5):
-        (h,) = half_paths(1, 15, 4, board5)
-        assert assemble(h, h) is None
+        assert _half_paths_raw(board5, 4, 1, 15, None) != []
+        assert _pair_emissions(board5, 4, 1, 15) == []
 
     def test_rejects_shared_interior(self):
         board = BoardSpec.square(9)
-        halves = half_paths(1, 25, 8, board)
-        a, b = next((x, y) for x in halves for y in halves
-                    if x.cells != y.cells and len(x.visited & y.visited) > 2)
-        assert assemble(a, b) is None
+        halves = _half_paths_raw(board, 8, 1, 25, None)
+        base = _mask((1, 25))
+        assert any(a & b != base for _, a in halves for _, b in halves if a != b)
+        emitted = _pair_emissions(board, 8, 1, 25)
+        assert emitted
+        assert all(len(set(seq)) == 8 for seq in emitted)
 
-    def test_rejects_mismatched_endpoints(self, board5):
-        (a,) = half_paths(1, 15, 4, board5)
-        b = half_paths(2, 18, 4, board5)[0]
-        with pytest.raises(ValueError, match="endpoints"):
-            assemble(a, b)
+    def test_emissions_keep_pair_endpoints(self, board5):
+        board9 = BoardSpec.square(9)
+        for board, k, s, t in ((board5, 4, 2, 18), (board9, 8, 1, 25),
+                               (board9, 8, 2, 20), (board9, 8, 2, 30)):
+            for seq in _pair_emissions(board, k, s, t):
+                assert len(seq) == k
+                assert seq[0] == s and seq[k // 2] == t
 
 
 class TestEngineCounts:
     @pytest.mark.parametrize("k", [4, 6, 8])
     def test_dfs(self, k):
-        summary = enumerate_dfs(k, options=EnumerationOptions(simple_filter=True))
+        summary = enumerate_cycles(k, "dfs", simple_filter=True, jobs=1)
         assert (summary.total, summary.simple) == EXPECTED_SMALL[k]
         assert summary.algorithm == "dfs"
         assert sum(summary.per_start.values()) == summary.total
 
     @pytest.mark.parametrize("k", [4, 6, 8])
     def test_mitm(self, k):
-        summary = enumerate_mitm(k, options=EnumerationOptions(simple_filter=True))
+        summary = enumerate_cycles(k, "mitm", simple_filter=True, jobs=1)
         assert (summary.total, summary.simple) == EXPECTED_SMALL[k]
         assert summary.algorithm == "mitm"
         assert sum(summary.per_start.values()) == summary.total
 
     def test_simple_none_without_filter(self):
-        assert enumerate_dfs(4).simple is None
-        assert enumerate_mitm(4).simple is None
+        assert enumerate_cycles(4, "dfs", jobs=1).simple is None
+        assert enumerate_cycles(4, "mitm", jobs=1).simple is None
 
     @pytest.mark.parametrize("bad", [3, 2, 0])
     def test_bad_length(self, bad):
         with pytest.raises(ValueError):
-            enumerate_dfs(bad)
+            enumerate_cycles(bad, "dfs", jobs=1)
         with pytest.raises(ValueError):
-            enumerate_mitm(bad)
+            enumerate_cycles(bad, "mitm", jobs=1)
 
 
 class TestEngineAgreement:
@@ -183,16 +200,19 @@ class TestParallelDriver:
     @pytest.mark.parametrize("algorithm", ["dfs", "mitm"])
     def test_jobs_do_not_change_results(self, algorithm):
         k = 6
-        reference = None
-        for jobs in (1, 2, 3):
-            listing: list[tuple[int, ...]] = []
-            summary = enumerate_cycles(k, algorithm, simple_filter=True,
-                                       jobs=jobs, sink=listing.append)
-            outcome = (summary.total, summary.simple, summary.per_start, listing)
-            if reference is None:
-                reference = outcome
-            else:
-                assert outcome == reference
+        for emit_only_simple in (False, True):
+            reference = None
+            for jobs in (1, 2, 3):
+                listing: list[tuple[int, ...]] = []
+                summary = enumerate_cycles(k, algorithm, simple_filter=True,
+                                           emit_only_simple=emit_only_simple,
+                                           jobs=jobs, sink=listing.append)
+                outcome = (summary.total, summary.simple, summary.per_start, listing)
+                if reference is None:
+                    reference = outcome
+                else:
+                    assert outcome == reference
+            assert len(reference[3]) == (13 if emit_only_simple else 25)
 
     def test_sink_receives_sorted_stream(self):
         listing: list[tuple[int, ...]] = []
@@ -221,10 +241,37 @@ class TestParallelDriver:
 
 
 class TestFailureModes:
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("algorithm", ["dfs", "mitm"])
+    def test_leaves_no_temp_files(self, algorithm, jobs, tmp_path, monkeypatch):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        made: list[str] = []
+        real_mkdtemp = tempfile.mkdtemp
+
+        def mkdtemp(*args, **kwargs):
+            made.append(real_mkdtemp(*args, **kwargs))
+            return made[-1]
+
+        monkeypatch.setattr(tempfile, "mkdtemp", mkdtemp)
+        enumerate_cycles(6, algorithm, jobs=jobs)
+        assert made == []
+
+        listing: list[tuple[int, ...]] = []
+        enumerate_cycles(6, algorithm, jobs=jobs, sink=listing.append)
+        assert len(listing) == 25
+
+        def failing_sink(_):
+            raise RuntimeError("sink failed")
+
+        with pytest.raises(RuntimeError, match="sink failed"):
+            enumerate_cycles(6, algorithm, jobs=jobs, sink=failing_sink)
+        assert len(made) == 2
+        assert all(d.startswith(str(tmp_path)) for d in made)
+        assert list(tmp_path.iterdir()) == []
+
     def test_half_path_budget_names_the_pair(self):
-        options = EnumerationOptions(half_path_budget=1)
         with pytest.raises(HalfPathBudgetError) as err:
-            enumerate_mitm(8, options=options)
+            enumerate_cycles(8, "mitm", jobs=1, half_path_budget=1)
         assert err.value.s >= 1
         assert err.value.t > err.value.s
         assert "half paths" in str(err.value)
@@ -237,9 +284,8 @@ class TestFailureModes:
         def sink(_):
             raise SinkError("stop")
 
-        engine = enumerate_dfs if algorithm == "dfs" else enumerate_mitm
         with pytest.raises(SinkError):
-            engine(6, sink=sink)
+            enumerate_cycles(6, algorithm, jobs=1, sink=sink)
 
     def test_budget_error_survives_pickling(self):
         import pickle
