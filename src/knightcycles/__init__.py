@@ -21,7 +21,12 @@ from .cycles import (
     validate_cycle,
 )
 from .geometry import orientation, segments_cross, is_simple
-from .search import EnumerationSummary, HalfPathBudgetError, enumerate_cycles
+from .search import (
+    EnumerationSummary,
+    HalfPathBudgetError,
+    ShardLostError,
+    enumerate_cycles,
+)
 from .analysis import (
     EXPECTED_COUNTS,
     CycleFileWriter,

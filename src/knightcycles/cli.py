@@ -1,6 +1,7 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 verification/validation failure, 2 usage error.
+Exit codes: 0 success, 1 verification/validation failure or a lost worker,
+2 usage error.
 KNIGHT_CYCLES_JOBS sets the default worker count; --jobs wins.
 """
 
@@ -21,7 +22,7 @@ from .analysis import (
 )
 from .board import BoardSpec
 from .cycles import CycleValidationError, is_minimal, validate_cycle
-from .search import enumerate_cycles
+from .search import ShardLostError, enumerate_cycles
 
 USAGE_ERROR = 2
 FAILURE = 1
@@ -216,6 +217,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
+    except ShardLostError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return FAILURE
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

@@ -12,8 +12,10 @@ previously seen solutions.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import itemgetter
 
 from .board import (
     BoardSpec,
@@ -160,74 +162,105 @@ def canonical_cell_set(cycle: CycleSeq) -> tuple[int, ...]:
     return best
 
 
-# Transform maps as (sign_r, sign_c, swap) triples, same order as
-# _DIHEDRAL_MAPS: (r, c) -> (sr * x, sc * y) with (x, y) = (c, r) if swap.
-_DIHEDRAL_TRIPLES = (
-    (1, 1, False), (1, -1, True), (-1, -1, False), (-1, 1, True),
-    (1, -1, False), (1, 1, True), (-1, 1, False), (-1, -1, True),
-)
-
-
 @lru_cache(maxsize=16)
-def _board_transform_tables(side: int):
-    """Cell permutations of a side x side board under the 8 symmetries,
-    paired with (sign_c, swap) for O(1) column-extent bookkeeping."""
+def _symmetry_tables(side: int) -> tuple[tuple[int, ...], ...]:
+    """The 7 non-identity symmetries of a side x side board as cell
+    permutations, in the order of _is_minimal_square's images; the fourth,
+    the transpose, is also the column-major numbering of the cells."""
+    maps = (
+        lambda r, c: (r, side - 1 - c),
+        lambda r, c: (side - 1 - r, c),
+        lambda r, c: (side - 1 - r, side - 1 - c),
+        lambda r, c: (c, r),
+        lambda r, c: (c, side - 1 - r),
+        lambda r, c: (side - 1 - c, r),
+        lambda r, c: (side - 1 - c, side - 1 - r),
+    )
     tables = []
-    for sr, sc, swap in _DIHEDRAL_TRIPLES:
-        table = [0] * (side * side + 1)
+    for f in maps:
+        table = [0]
         for i in range(1, side * side + 1):
-            r, c = divmod(i - 1, side)
-            x, y = (c, r) if swap else (r, c)
-            rr = sr * x + (side - 1 if sr < 0 else 0)
-            cc = sc * y + (side - 1 if sc < 0 else 0)
-            table[i] = rr * side + cc + 1
-        tables.append((tuple(table), sc, swap))
+            r, c = f(*divmod(i - 1, side))
+            table.append(r * side + c + 1)
+        tables.append(tuple(table))
     return tuple(tables)
 
 
-def _is_minimal_square(cells, side: int) -> bool:
-    """Early-exit minimality test on a square board of the given side.
+# Beyond any row or column of a board that a cycle of length <= 16 uses.
+_FAR = 1 << 10
 
-    Equivalent to comparing against canonicalize, but works image by image:
-    transforming the whole board maps the placement to a translate of the
-    normalized image, so each image is a cell permutation followed by a
-    constant index shift.  An image whose normalized start cell differs from
-    cells[0] settles in O(1); the full rotation comparison only runs on ties.
-    Runs once per closed sequence the engines construct.
+
+def _side_extremes(cells, side: int) -> tuple[int, ...]:
+    """Where cells on a side x side board touch the sides of their bounding
+    box [0, R] x [0, C], given that some cell lies on row 0: (R, C, max
+    column on row 0, min and max row on column 0, min and max column on row
+    R, min and max row on column C).  Cells missing column 0 get (_FAR,
+    -_FAR) there.  The extremes are read off the cells sorted row by row and
+    column by column."""
+    by_row = sorted(cells)
+    by_col = sorted(itemgetter(*cells)(_symmetry_tables(side)[3]))
+    last = by_row[-1] - 1
+    last_row = last // side
+    bottom = last_row * side
+    right_end = by_col[-1] - 1
+    last_col = right_end // side
+    right = last_col * side
+    if by_col[0] <= side:
+        left_min = by_col[0] - 1
+        left_max = by_col[bisect_right(by_col, side) - 1] - 1
+    else:
+        left_min, left_max = _FAR, -_FAR
+    return (last_row, last_col, by_row[bisect_right(by_row, side) - 1] - 1,
+            left_min, left_max,
+            by_row[bisect_right(by_row, bottom)] - bottom - 1, last - bottom,
+            by_col[bisect_right(by_col, right)] - right - 1, right_end - right)
+
+
+def _is_minimal_square(cells, side: int) -> bool:
+    """True iff ``cells`` is the canonical sequence of its class, for a cycle
+    on a square board of the given side.
+
+    Each of the 8 symmetry images of the placement, translation-normalized,
+    starts at an extreme cell of one side of the bounding box [0, R] x [0, C]:
+    the identity at the leftmost cell of row 0, the others at the rightmost
+    cell of row 0, either end of row R, or either end of column 0 or C.  The
+    image's start index is 1 plus that cell's distance to the image's corner,
+    so the side extremes settle every image whose start differs from
+    cells[0]: a smaller start rejects at once, a larger one loses.  Only the
+    tied images are compared sequence-wise, lazily from their start cell in
+    both directions; the identity needs nothing beyond the reversal check.
+    Returns False for a placement that is not translation-normalized.
     """
-    k = len(cells)
-    # Reversal from the same start is always a candidate.
-    if cells[1] > cells[-1]:
-        return False
     first = cells[0]
-    min_col = side
-    max_col = -1
-    for i in cells:
-        c = (i - 1) % side
-        if c < min_col:
-            min_col = c
-        if c > max_col:
-            max_col = c
-    min_row = (min(cells) - 1) // side
-    max_row = (max(cells) - 1) // side
-    for table, sc, swap in _board_transform_tables(side):
-        image = [table[i] for i in cells]
-        m = min(image)
-        lo, hi = (min_row, max_row) if swap else (min_col, max_col)
-        image_min_col = lo if sc > 0 else side - 1 - hi
-        shift = ((m - 1) // side) * side + image_min_col
-        start = m - shift
-        if start > first:
+    if cells[1] > cells[-1] or first > side or min(cells) != first:
+        return False
+    (last_row, last_col, top_max, left_min, left_max, bottom_min, bottom_max,
+     right_min, right_max) = _side_extremes(cells, side)
+    if left_min == _FAR:
+        return False
+    low = first - 1
+    offsets = (last_col - top_max, bottom_min, last_col - bottom_max,
+               left_min, last_row - left_max, right_min, last_row - right_max)
+    if min(offsets) < low:
+        return False
+    # The start cell of each image, in the order of _symmetry_tables.
+    bottom = last_row * side
+    starts = (top_max + 1, bottom + bottom_min + 1, bottom + bottom_max + 1,
+              left_min * side + 1, left_max * side + 1,
+              right_min * side + last_col + 1, right_max * side + last_col + 1)
+    k = len(cells)
+    for offset, start, table in zip(offsets, starts, _symmetry_tables(side)):
+        if offset != low:
             continue
-        if start < first:
-            return False
-        j = image.index(m)
+        # The whole-board symmetry moves the placement by a constant index
+        # shift away from its normalized image, whose start is cells[0].
+        shift = table[start] - first
+        pos = cells.index(start)
         for step in (1, -1):
-            for off in range(k):
-                a = image[(j + step * off) % k] - shift
-                b = cells[off]
-                if a != b:
-                    if a < b:
+            for off in range(1, k):
+                image = table[cells[(pos + step * off) % k]] - shift
+                if image != cells[off]:
+                    if image < cells[off]:
                         return False
                     break
     return True

@@ -92,30 +92,30 @@ class CrossingTable:
                 if v > u:
                     edge_id[(u, v)] = len(segs)
                     segs.append((coords[u], coords[v]))
-        crossing: list[set[int]] = [set() for _ in segs]
+        # crossing[e]: bit f set iff edges e and f cross.
+        crossing = [0] * len(segs)
         for e in range(len(segs)):
             for f in range(e + 1, len(segs)):
                 if segments_cross(segs[e], segs[f]):
-                    crossing[e].add(f)
-                    crossing[f].add(e)
-        self._edge_id = edge_id
-        self._crossing = tuple(frozenset(s) for s in crossing)
+                    crossing[e] |= 1 << f
+                    crossing[f] |= 1 << e
+        # Both orientations of edge e map to (bit e, crossing[e]).
+        self._edges: dict[tuple[int, int], tuple[int, int]] = {}
+        for (u, v), e in edge_id.items():
+            self._edges[(u, v)] = self._edges[(v, u)] = (1 << e, crossing[e])
 
     def is_simple_cells(self, cells) -> bool:
-        """is_simple for a raw index sequence already known to be a cycle."""
-        eid = self._edge_id
-        k = len(cells)
-        ids = []
-        for i in range(k):
-            u = cells[i]
-            v = cells[i + 1] if i + 1 < k else cells[0]
-            ids.append(eid[(u, v)] if u < v else eid[(v, u)])
-        crossing = self._crossing
-        for i in range(k):
-            ci = crossing[ids[i]]
-            for j in range(i + 1, k):
-                if ids[j] in ci:
-                    return False
+        """is_simple for a raw index sequence already known to be a cycle:
+        one walk over its edges, each checked against the ones before it."""
+        edges = self._edges
+        seen = 0
+        u = cells[-1]
+        for v in cells:
+            bit, crossing = edges[(u, v)]
+            if crossing & seen:
+                return False
+            seen |= bit
+            u = v
         return True
 
 

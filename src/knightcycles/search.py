@@ -10,7 +10,10 @@ The exhaustive engine extends one path cell by cell.  The assembly engine
 builds all half-length paths from s to one possible opposite cell t and
 glues disjoint pairs; each closed sequence arises from exactly one ordered
 pair of halves, so canonical filtering again counts every class exactly once,
-with no memory of previously found solutions in either engine.
+with no memory of previously found solutions in either engine.  It finds the
+disjoint partners of a half through per-cell bitsets, and skips a pair whose
+symmetry images already start below s, judged from the two halves' bounding
+box extremes, before building its sequence.
 
 ``enumerate_cycles`` is the only driver.  It splits the work into shards,
 one start cell ``(s,)`` for dfs and one pair ``(s, t)`` for mitm, and runs
@@ -27,14 +30,14 @@ from __future__ import annotations
 import contextlib
 import heapq
 import os
+import signal
 import tempfile
 import time
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from multiprocessing import Pool
 
 from .board import BoardSpec, adjacency
-from .cycles import _is_minimal_square
+from .cycles import _FAR, _is_minimal_square, _side_extremes
 from .geometry import crossing_table
 
 UNREACHED = 255
@@ -63,6 +66,18 @@ class HalfPathBudgetError(RuntimeError):
 
     def __reduce__(self):
         return (type(self), (self.s, self.t, self.limit))
+
+
+class ShardLostError(RuntimeError):
+    """A worker process died, and the shards whose results never came back
+    (the one it was running among them) are lost."""
+
+    def __init__(self, shards: list[tuple[int, ...]]):
+        names = ["-".join(map(str, shard)) for shard in shards]
+        shown = " ".join(names[:8]) + (" ..." if len(names) > 8 else "")
+        super().__init__(
+            f"a worker process died; {len(names)} shard(s) lost: {shown}")
+        self.shards = shards
 
 
 def _check_length(k: int) -> None:
@@ -170,38 +185,97 @@ def _half_paths_raw(board: BoardSpec, k: int, s: int, t: int,
 
 def _mitm_one_pair(board: BoardSpec, k: int, s: int, t: int,
                    budget: int | None, emit) -> None:
-    """Emit every closure with start s and opposite cell t that two s -> t
-    halves with disjoint interiors glue into."""
+    """Emit the closures with start s and opposite cell t that two s -> t
+    halves with disjoint interiors glue into, less those whose start test
+    already fails.
+
+    A glued sequence starts at s, its smallest cell, so it can only be
+    canonical when every symmetry image of it starts at an offset of at least
+    s - 1 (see cycles._is_minimal_square).  Those offsets are extremes of the
+    sides of the pair's bounding box, and each side's extremes come from the
+    half (or both halves) reaching that side, so the two halves' summaries
+    decide the test before the sequence is built.  The caller still runs the
+    full canonicity test on every emission.
+    """
     halves = _half_paths_raw(board, k, s, t, budget)
     if len(halves) < 2:
         return
-    col0_mask = 0
-    for c in _col0_cells(board, s):
-        col0_mask |= 1 << c
-    base = (1 << s) | (1 << t)
-    n = len(halves)
+    low = s - 1
+    extremes = [_side_extremes(cells, board.width) for cells, _ in halves]
+    # holders[c]: the halves whose interior holds cell c, as a bitset over
+    # half indices.  A half whose own column-0 cells start an image below s
+    # fails in every pair and joins nothing.
+    holders = [0] * (board.size + 1)
+    col0 = 0
+    usable = 0
+    for i, (cells, _) in enumerate(halves):
+        left_min = extremes[i][3]
+        if left_min < low:
+            continue
+        bit = 1 << i
+        usable |= bit
+        for c in cells[1:-1]:
+            holders[c] |= bit
+        if left_min != _FAR:
+            col0 |= bit
     # Halves are in ascending order, so runs of equal second cell are
     # contiguous; a glued sequence reads a's second cell at position 1 and
     # b's at position k-1, and only pairs with the former smaller can be
     # canonical, so b always comes from a strictly later run.
-    run_start: list[int] = []
-    prev = None
-    for i, (cells, _) in enumerate(halves):
-        if cells[1] != prev:
-            run_start.append(i)
-            prev = cells[1]
-    run_start.append(n)
-    run_index = 0
-    for i, (a_cells, a_mask) in enumerate(halves):
-        if i == run_start[run_index + 1]:
-            run_index += 1
-        for j in range(run_start[run_index + 1], n):
-            b_cells, b_mask = halves[j]
-            if a_mask & b_mask != base:
+    n = len(halves)
+    later = [0] * n
+    for i in range(n - 2, -1, -1):
+        if halves[i + 1][0][1] != halves[i][0][1]:
+            later[i] = usable >> (i + 1) << (i + 1)
+        else:
+            later[i] = later[i + 1]
+    for i, (a_cells, _) in enumerate(halves):
+        if not (usable >> i) & 1:
+            continue
+        clash = 0
+        for c in a_cells[1:-1]:
+            clash |= holders[c]
+        partners = later[i] & ~clash
+        (a_rows, a_cols, a_top, a_left_min, a_left_max, a_bottom_min,
+         a_bottom_max, a_right_min, a_right_max) = extremes[i]
+        if a_left_min == _FAR:
+            partners &= col0
+        while partners:
+            bit = partners & -partners
+            partners ^= bit
+            j = bit.bit_length() - 1
+            (b_rows, b_cols, b_top, _, b_left_max, b_bottom_min,
+             b_bottom_max, b_right_min, b_right_max) = extremes[j]
+            # Conditional expressions: builtin min/max calls cost more here.
+            last_row = a_rows if a_rows > b_rows else b_rows
+            last_col = a_cols if a_cols > b_cols else b_cols
+            if (last_col - (a_top if a_top > b_top else b_top) < low
+                    or last_row - (a_left_max if a_left_max > b_left_max
+                                   else b_left_max) < low):
                 continue
-            if not ((a_mask | b_mask) & col0_mask):
+            if a_rows == b_rows:
+                bottom_min = (a_bottom_min if a_bottom_min < b_bottom_min
+                              else b_bottom_min)
+                bottom_max = (a_bottom_max if a_bottom_max > b_bottom_max
+                              else b_bottom_max)
+            elif a_rows > b_rows:
+                bottom_min, bottom_max = a_bottom_min, a_bottom_max
+            else:
+                bottom_min, bottom_max = b_bottom_min, b_bottom_max
+            if bottom_min < low or last_col - bottom_max < low:
                 continue
-            emit(a_cells + b_cells[-2:0:-1])
+            if a_cols == b_cols:
+                right_min = (a_right_min if a_right_min < b_right_min
+                             else b_right_min)
+                right_max = (a_right_max if a_right_max > b_right_max
+                             else b_right_max)
+            elif a_cols > b_cols:
+                right_min, right_max = a_right_min, a_right_max
+            else:
+                right_min, right_max = b_right_min, b_right_max
+            if right_min < low or last_row - right_max < low:
+                continue
+            emit(a_cells + halves[j][0][-2:0:-1])
 
 
 def _mitm_pairs_for_start(board: BoardSpec, k: int, s: int):
@@ -261,6 +335,35 @@ def _run_shard(algorithm: str, k: int, simple_filter: bool,
     return shard, count, simple, shard_file
 
 
+def _run_in_pool(run, shards, workers: int) -> list:
+    """run(shard) for every shard in a pool of worker processes.  A worker
+    that dies (killed, out of memory) breaks the pool; that surfaces as
+    ShardLostError naming the shards whose results never came back."""
+    # Imported on first use: it loads logging and multiprocessing, which the
+    # package import and jobs=1 runs do without.
+    from concurrent.futures import ProcessPoolExecutor, as_completed
+    from concurrent.futures.process import BrokenProcessPool
+
+    # Workers die at once on Ctrl-C (SIGINT reaches the whole process group)
+    # instead of raising KeyboardInterrupt and running on into queued shards.
+    with ProcessPoolExecutor(max_workers=workers, initializer=signal.signal,
+                             initargs=(signal.SIGINT, signal.SIG_DFL)) as pool:
+        futures = {pool.submit(run, shard): shard for shard in shards}
+        results = []
+        try:
+            for future in as_completed(futures):
+                try:
+                    results.append(future.result())
+                except BrokenProcessPool as exc:
+                    done = {result[0] for result in results}
+                    lost = sorted(set(shards) - done)
+                    raise ShardLostError(lost) from exc
+        finally:
+            # After a failure, shards that have not started never will.
+            pool.shutdown(cancel_futures=True)
+    return results
+
+
 def _read_shard(path: str):
     with open(path) as fh:
         for line in fh:
@@ -303,8 +406,7 @@ def enumerate_cycles(k: int, algorithm: str = "dfs", *,
         if jobs == 1:
             results = [run(shard) for shard in shards]
         else:
-            with Pool(processes=min(jobs, len(shards))) as pool:
-                results = list(pool.imap_unordered(run, shards))
+            results = _run_in_pool(run, shards, min(jobs, len(shards)))
         if sink is not None:
             shard_files = [f for *_, f in results if f is not None]
             for seq in heapq.merge(*map(_read_shard, shard_files)):

@@ -36,7 +36,7 @@ EXPECTED_SMALL = {4: (3, 3), 6: (25, 13), 8: (480, 178), 10: (12000, 3034)}
 
 @pytest.fixture(scope="session")
 def keys_by_k():
-    """Canonical listings for k <= 8, computed once per test session."""
+    """Canonical listings for small k, computed once per test session."""
     cache: dict[int, tuple[tuple[int, ...], ...]] = {}
 
     def get(k: int) -> tuple[tuple[int, ...], ...]:

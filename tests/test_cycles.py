@@ -5,6 +5,8 @@ from knightcycles.board import BoardSpec, DIHEDRAL_ELEMENTS, apply_dihedral, \
 from knightcycles.cycles import (
     CycleSeq,
     CycleValidationError,
+    _canonical_coords,
+    _is_minimal_square,
     are_equivalent,
     canonical_cell_set,
     canonical_key,
@@ -133,6 +135,46 @@ class TestIsMinimal:
         cycle = validate_cycle(shifted, board9)
         assert not is_minimal(cycle)
         assert min(c for _, c in cycle.coords()) > 0
+
+    @pytest.mark.parametrize("k", [6, 8])
+    def test_core_matches_oracle_on_every_reencoding(self, k, keys_by_k):
+        """Every re-encoding of every class (8 symmetries x k starts x 2
+        directions), on the standard board and shifted by one row or one
+        column on a one-cell-larger board: the canonicity core accepts
+        exactly the oracle's canonical sequence (the same for every
+        re-encoding, so computed once per class), once per class."""
+        standard = BoardSpec.for_cycle_length(k)
+        larger = BoardSpec.square(k + 2)
+        placements = ((standard, (0, 0)), (larger, (0, 0)),
+                      (larger, (1, 0)), (larger, (0, 1)))
+        stabilizers = set()
+        for key in keys_by_k(k):
+            coords = [coord_of(i, standard) for i in key]
+            oracle_coords = _canonical_coords(coords)
+            for board, (dr, dc) in placements:
+                side = board.width
+                oracle = tuple(index_of(p, board) for p in oracle_coords)
+                accepted = set()
+                fixed = 0
+                for elem in DIHEDRAL_ELEMENTS:
+                    pts = [(r + dr, c + dc) for r, c in
+                           normalize_translation(apply_dihedral(coords, elem))]
+                    idx = tuple(index_of(p, board) for p in pts)
+                    for start in range(k):
+                        rotated = idx[start:] + idx[:start]
+                        for seq in (rotated, rotated[:1] + rotated[1:][::-1]):
+                            ok = _is_minimal_square(seq, side)
+                            assert ok == (seq == oracle), (seq, oracle)
+                            if ok:
+                                accepted.add(seq)
+                                fixed += 1
+                shifted = (dr, dc) != (0, 0)
+                assert len(accepted) == (0 if shifted else 1)
+                if not shifted:
+                    stabilizers.add(fixed)
+        # Classes with a non-trivial symmetry tie on a second image all the
+        # way to the end of the sequence.
+        assert stabilizers & {2, 4}
 
 
 class TestEquivalence:

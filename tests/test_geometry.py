@@ -173,12 +173,19 @@ class TestOracleAgreement:
 
 class TestCrossingTable:
     def test_matches_is_simple(self, keys_by_k):
-        for k in (6, 8):
+        """Every class up to k=10; at k=8 also every start and both
+        directions, so that non-canonical orderings are covered."""
+        for k in (6, 8, 10):
             board = BoardSpec.for_cycle_length(k)
             table = crossing_table(board)
             for key in keys_by_k(k):
-                assert table.is_simple_cells(key) == \
-                    is_simple(CycleSeq(key, board))
+                expected = is_simple(CycleSeq(key, board))
+                orderings = [key]
+                if k == 8:
+                    orderings = [key[i:] + key[:i] for i in range(k)]
+                    orderings += [seq[::-1] for seq in orderings]
+                for seq in orderings:
+                    assert table.is_simple_cells(seq) == expected
 
     def test_cached_per_board(self):
         board = BoardSpec.square(7)

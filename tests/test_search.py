@@ -1,13 +1,25 @@
+import os
+import signal
+import subprocess
+import sys
 import tempfile
+import textwrap
 
 import pytest
 
+import knightcycles
 from knightcycles.board import BoardSpec, adjacency, coord_of
-from knightcycles.cycles import CycleSeq, _canonical_coords, validate_cycle
+from knightcycles.cycles import (
+    CycleSeq,
+    _canonical_coords,
+    _is_minimal_square,
+    validate_cycle,
+)
 from knightcycles.search import (
     HalfPathBudgetError,
     _half_paths_raw,
     _mitm_one_pair,
+    _mitm_pairs_for_start,
     enumerate_cycles,
 )
 from conftest import EXPECTED_SMALL
@@ -22,6 +34,24 @@ def _pair_emissions(board, k, s, t) -> list[tuple[int, ...]]:
     out: list[tuple[int, ...]] = []
     _mitm_one_pair(board, k, s, t, None, out.append)
     return out
+
+
+def _run_child(script: str, tmp_path, timeout: float = 60):
+    """Run a script in a child interpreter and its own process group, with
+    tmp_path as sys.argv[1].  Past the timeout the whole group is killed and
+    the test fails, so that a hang cannot stall the suite."""
+    src = os.path.dirname(os.path.dirname(knightcycles.__file__))
+    proc = subprocess.Popen(
+        [sys.executable, "-c", textwrap.dedent(script), str(tmp_path)],
+        env=dict(os.environ, PYTHONPATH=src), start_new_session=True,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    try:
+        out, err = proc.communicate(timeout=timeout)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail(f"child still running after {timeout} s")
+    return proc.returncode, out, err
 
 
 class TestStartSet:
@@ -104,6 +134,37 @@ class TestAssemble:
             for seq in _pair_emissions(board, k, s, t):
                 assert len(seq) == k
                 assert seq[0] == s and seq[k // 2] == t
+
+
+class TestJoinPrefilter:
+    """The join's start test only drops pairs the canonicity test rejects."""
+
+    @pytest.mark.parametrize("k, candidates", [(8, 1002), (10, 25206)])
+    def test_same_survivors_as_every_glued_pair(self, k, candidates):
+        board = BoardSpec.for_cycle_length(k)
+        side = board.width
+        col0 = _mask(range(1, board.size + 1, side))
+        emitted_total = 0
+        for s in range(1, k // 2 + 2):
+            for t in _mitm_pairs_for_start(board, k, s):
+                halves = _half_paths_raw(board, k, s, t, None)
+                base = _mask((s, t))
+                brute = set()
+                for i, (a, a_mask) in enumerate(halves):
+                    for j, (b, b_mask) in enumerate(halves):
+                        if (i != j and a_mask & b_mask == base
+                                and (a_mask | b_mask) & col0):
+                            seq = a + b[-2:0:-1]
+                            if _is_minimal_square(seq, side):
+                                brute.add(seq)
+                emitted = _pair_emissions(board, k, s, t)
+                assert len(set(emitted)) == len(emitted)
+                assert {seq for seq in emitted
+                        if _is_minimal_square(seq, side)} == brute
+                emitted_total += len(emitted)
+        # Closures handed to the canonicity test (a count, not a speed):
+        # 3159 at k=8 and 89268 at k=10 without the start test.
+        assert emitted_total == candidates
 
 
 class TestEngineCounts:
@@ -268,6 +329,57 @@ class TestFailureModes:
         assert len(made) == 2
         assert all(d.startswith(str(tmp_path)) for d in made)
         assert list(tmp_path.iterdir()) == []
+
+    def test_killed_worker_fails_instead_of_hanging(self, tmp_path):
+        """A worker killed mid-shard ends the run with an error naming a lost
+        shard and removes the shard directory; the CLI prints one error line
+        and exits 1."""
+        code, out, err = _run_child("""
+            import os, signal, sys, tempfile
+            from knightcycles import cli, search
+
+            tempfile.tempdir = sys.argv[1]
+            engine = search._dfs_one_start
+
+            def dying(board, k, s, emit):
+                if s == 2:
+                    os.kill(os.getpid(), signal.SIGKILL)
+                engine(board, k, s, emit)
+
+            search._dfs_one_start = dying
+            try:
+                search.enumerate_cycles(8, "dfs", jobs=2, sink=lambda seq: None)
+            except search.ShardLostError as exc:
+                print((2,) in exc.shards, os.listdir(sys.argv[1]))
+            sys.exit(cli.main(["count", "--length", "8", "--jobs", "2"]))
+        """, tmp_path)
+        assert out == "True []\n"
+        assert code == 1
+        errors = err.splitlines()
+        assert len(errors) == 1
+        assert errors[0].startswith("error: a worker process died")
+
+    def test_ctrl_c_stops_the_workers_at_once(self, tmp_path):
+        """Ctrl-C (SIGINT to the process group) ends a jobs=2 run with
+        KeyboardInterrupt and no shard directory left, without running the
+        shards still queued behind the interrupted ones."""
+        code, _, err = _run_child("""
+            import os, signal, sys, tempfile, time
+            from knightcycles import search
+
+            tempfile.tempdir = sys.argv[1]
+
+            def slow(board, k, s, emit):
+                if s == 2:
+                    os.killpg(0, signal.SIGINT)
+                time.sleep(60)
+
+            search._dfs_one_start = slow
+            search.enumerate_cycles(8, "dfs", jobs=2, sink=lambda seq: None)
+        """, tmp_path)
+        assert code == -signal.SIGINT
+        assert "KeyboardInterrupt" in err
+        assert os.listdir(tmp_path) == []
 
     def test_half_path_budget_names_the_pair(self):
         with pytest.raises(HalfPathBudgetError) as err:
