@@ -6,11 +6,13 @@ sub-s cells is safe: a completed sequence through a smaller cell can always
 be rotated to start there, which is lexicographically smaller, so such
 sequences are never canonical.
 
-The exhaustive engine extends one path cell by cell.  The assembly engine
-builds all half-length paths from s to one possible opposite cell t and
-glues disjoint pairs; each closed sequence arises from exactly one ordered
-pair of halves, so canonical filtering again counts every class exactly once,
-with no memory of previously found solutions in either engine.  It finds the
+The exhaustive engine extends one path cell by cell.  It walks each cycle
+in one direction only, and cuts a path as soon as its running bounding box
+shows that a symmetry image will start below s.  The assembly engine builds
+all half-length paths from s to one possible opposite cell t and glues
+disjoint pairs; each closed sequence arises from exactly one ordered pair of
+halves, so canonical filtering again counts every class exactly once, with
+no memory of previously found solutions in either engine.  It finds the
 disjoint partners of a half through per-cell bitsets, and skips a pair whose
 symmetry images already start below s, judged from the two halves' bounding
 box extremes, before building its sequence.
@@ -106,44 +108,86 @@ def _distances(adj: list[tuple[int, ...]], sources, size: int) -> list[int]:
     return dist
 
 
-def _col0_cells(board: BoardSpec, s: int) -> list[int]:
-    return [c for c in range(1, board.size + 1, board.width) if c >= s]
-
-
 def _dfs_one_start(board: BoardSpec, k: int, s: int, emit) -> None:
-    """Exhaustive backtracking from one start cell: emit every closed path
-    of k cells from s (one list object, reused between calls).
+    """Exhaustive backtracking from one start cell: emit the closed paths of
+    k cells from s that may be canonical (one list object, reused between
+    calls).  The caller runs the full canonicity test on every emission.
 
-    Two sound cuts beyond the >= s rule: a partial path is dropped when the
-    closing cell is no longer reachable in the remaining moves, or when the
-    leftmost column can no longer be visited (a canonical placement always
-    touches column 0, so such paths cannot produce a canonical sequence).
+    Beyond the >= s rule, a child v is cut when its path can no longer
+    - close on a neighbour of s above its second cell in the moves left (a
+      canonical sequence has cells[1] < cells[-1], so each cycle is walked
+      in one direction only);
+    - touch column 0 in the moves left (a canonical placement always does);
+    - give every symmetry image a start offset of at least s - 1 (see
+      cycles._is_minimal_square).  The path carries the side extremes that
+      cycles._side_extremes reads at the end: the max row and column, the
+      max column on row 0 and the max row on column 0.  Every later cell
+      must still get back to s, at row 0, so the final max row is at most
+      row(v) // 2 + remaining and the final max column at most
+      (col(v) + col(s)) // 2 + remaining.  A column-0 cell on a row below
+      s - 1 fails at once.
     """
     side = board.width
+    size = board.size
     adj_s = _filtered_adjacency(board, s)
-    dist_s = _distances(adj_s, (s,), board.size)
-    dist_col0 = _distances(adj_s, _col0_cells(board, s), board.size)
-    visited = bytearray(board.size + 1)
+    low = s_col = s - 1
+    rows = [0] + [(c - 1) // side for c in range(1, size + 1)]
+    cols = [0] + [(c - 1) % side for c in range(1, size + 1)]
+    # Column-0 cells on rows below s - 1 are cut, so only the others count.
+    dist_col0 = _distances(adj_s, range(low * side + 1, size + 1, side), size)
+    # closing[c]: distances to the neighbours of s above c, the cells that
+    # may end a path whose second cell is c.
+    closing = {c: _distances(adj_s, [n for n in adj_s[s] if n > c], size)
+               for c in adj_s[s]}
+    # A candidate second cell is judged by its own table.
+    second = [UNREACHED] * (size + 1)
+    for c, dist in closing.items():
+        second[c] = dist[c]
+    visited = bytearray(size + 1)
     visited[s] = 1
     path = [s]
 
-    def extend(u: int, depth: int, col0_seen: bool) -> None:
-        if depth == k:
-            if dist_s[u] == 1:
-                emit(path)
-            return
+    def extend(u: int, depth: int, dist, last_row: int, last_col: int,
+               top_max: int, left_max: int) -> None:
+        if depth == 2:  # u is the second cell: it fixes the closing cells
+            dist = closing[u]
         remaining = k - depth
         for v in adj_s[u]:
-            if not visited[v] and dist_s[v] <= remaining and (
-                col0_seen or dist_col0[v] < remaining or v % side == 1
-            ):
+            if visited[v] or dist[v] >= remaining:
+                continue
+            r = rows[v]
+            c = cols[v]
+            top = top_max
+            left = left_max
+            if c == 0:
+                if r < low:
+                    continue
+                if r > left:
+                    left = r
+            else:
+                if left < 0 and dist_col0[v] >= remaining:
+                    continue
+                if r == 0 and c > top:
+                    top = c
+            # Conditional expressions: builtin min/max calls cost more here.
+            row = r if r > last_row else last_row
+            col = c if c > last_col else last_col
+            row_up = r // 2 + remaining
+            col_up = (c + s_col) // 2 + remaining
+            if ((col_up if col_up > col else col) - top < low
+                    or (row_up if row_up > row else row) - left < low):
+                continue
+            path.append(v)
+            if remaining == 1:
+                emit(path)
+            else:
                 visited[v] = 1
-                path.append(v)
-                extend(v, depth + 1, col0_seen or v % side == 1)
-                path.pop()
+                extend(v, depth + 1, dist, row, col, top, left)
                 visited[v] = 0
+            path.pop()
 
-    extend(s, 1, s % side == 1)
+    # left_max stays -_FAR until the path touches column 0.
+    extend(s, 1, second, 0, s_col, s_col, 0 if s_col == 0 else -_FAR)
 
 
 def _half_paths_raw(board: BoardSpec, k: int, s: int, t: int,
@@ -367,7 +411,7 @@ def _run_in_pool(run, shards, workers: int) -> list:
 def _read_shard(path: str):
     with open(path) as fh:
         for line in fh:
-            yield tuple(int(x) for x in line.split())
+            yield tuple(map(int, line.split()))
 
 
 def enumerate_cycles(k: int, algorithm: str = "dfs", *,

@@ -34,6 +34,19 @@ CROSSING_K6 = (1, 10, 5, 18, 3, 16)
 EXPECTED_SMALL = {4: (3, 3), 6: (25, 13), 8: (480, 178), 10: (12000, 3034)}
 
 
+def pytest_collection_modifyitems(config, items):
+    """Deselect the multi-hour longjob tests unless the -m expression names
+    them.  A command-line -m replaces pyproject's -m 'not longjob', so
+    without this, -m "not slow" would start them; -m longjob opts in."""
+    if "longjob" in config.getoption("markexpr"):
+        return
+    longjobs = [item for item in items if item.get_closest_marker("longjob")]
+    if longjobs:
+        config.hook.pytest_deselected(items=longjobs)
+        items[:] = [item for item in items
+                    if not item.get_closest_marker("longjob")]
+
+
 @pytest.fixture(scope="session")
 def keys_by_k():
     """Canonical listings for small k, computed once per test session."""

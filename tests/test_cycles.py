@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from knightcycles.board import BoardSpec, DIHEDRAL_ELEMENTS, apply_dihedral, \
     coord_of, index_of, normalize_translation
@@ -175,6 +176,47 @@ class TestIsMinimal:
         # Classes with a non-trivial symmetry tie on a second image all the
         # way to the end of the sequence.
         assert stabilizers & {2, 4}
+
+
+    @settings(derandomize=True, database=None, max_examples=100,
+              deadline=None)
+    @given(data=st.data())
+    def test_core_matches_oracle_on_random_reencodings(self, keys_by_k, data):
+        """A random k=10 class on a random square board up to 3 cells larger
+        than the standard one, in every symmetry, start and direction, both
+        in the board's corner and translated by a random offset: the
+        canonicity core accepts exactly the oracle's canonical sequence,
+        which only the corner placement holds; a random one of those
+        re-encodings has the class's canonical form."""
+        k = 10
+        keys = keys_by_k(k)
+        standard = BoardSpec.for_cycle_length(k)
+        coords = [coord_of(i, standard)
+                  for i in keys[data.draw(st.integers(0, len(keys) - 1))]]
+        span = max(max(p) for p in coords)
+        side = data.draw(st.integers(k + 1, k + 4))
+        shift = (data.draw(st.integers(0, side - 1 - span)),
+                 data.draw(st.integers(0, side - 1 - span)))
+        board = BoardSpec.square(side)
+        canonical = _canonical_coords(coords)
+        oracle = tuple(index_of(p, board) for p in canonical)
+        reencodings = []
+        for dr, dc in {(0, 0), shift}:
+            accepted = 0
+            for elem in DIHEDRAL_ELEMENTS:
+                pts = [(r + dr, c + dc) for r, c in
+                       normalize_translation(apply_dihedral(coords, elem))]
+                for start in range(k):
+                    rotated = pts[start:] + pts[:start]
+                    for moved in (rotated, rotated[:1] + rotated[:0:-1]):
+                        seq = tuple(index_of(p, board) for p in moved)
+                        ok = _is_minimal_square(seq, side)
+                        assert ok == (seq == oracle), (seq, oracle)
+                        accepted += ok
+                        reencodings.append(moved)
+            assert (accepted > 0) == ((dr, dc) == (0, 0))
+        moved = data.draw(st.sampled_from(reencodings))
+        assert _canonical_coords(moved) == canonical
 
 
 class TestEquivalence:

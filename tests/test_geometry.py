@@ -2,9 +2,10 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from knightcycles.board import BoardSpec, DIHEDRAL_ELEMENTS, adjacency, \
-    apply_dihedral, coord_of, index_of, normalize_translation
+from knightcycles.board import BoardSpec, DIHEDRAL_ELEMENTS, KNIGHT_OFFSETS, \
+    adjacency, apply_dihedral, coord_of, index_of, normalize_translation
 from knightcycles.cycles import CycleSeq, validate_cycle
 from knightcycles.geometry import crossing_table, is_simple, orientation, \
     segments_cross
@@ -154,7 +155,36 @@ def _oracle_is_simple(cycle: CycleSeq) -> bool:
         for i in range(k) for j in range(i + 1, k))
 
 
+_points = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
+
+
+def _segments_from(p):
+    """A knight move or any other non-degenerate segment starting at p."""
+    knight = st.sampled_from(KNIGHT_OFFSETS).map(
+        lambda d: (p, (p[0] + d[0], p[1] + d[1])))
+    other = _points.filter(lambda q: q != p).map(lambda q: (p, q))
+    return st.one_of(knight, other)
+
+
+_segments = _points.flatmap(_segments_from)
+# Independent pairs, and pairs whose second segment leaves from an endpoint
+# of the first.
+_segment_pairs = st.one_of(
+    st.tuples(_segments, _segments),
+    _segments.flatmap(lambda s1: st.sampled_from(s1).flatmap(
+        _segments_from).map(lambda s2: (s1, s2))))
+
+
 class TestOracleAgreement:
+    @settings(derandomize=True, database=None, max_examples=500,
+              deadline=None)
+    @given(_segment_pairs)
+    def test_segments_cross_against_oracle_random(self, pair):
+        s1, s2 = pair
+        assert segments_cross(s1, s2) == \
+            _oracle_segments_share_noncommon_point(s1, s2)
+        assert segments_cross(s2, s1) == segments_cross(s1, s2)
+
     def test_segments_cross_against_oracle_grid(self):
         pts = [(0, 0), (0, 2), (1, 1), (2, 0), (2, 2), (1, 3)]
         segs = [(p, q) for p in pts for q in pts if p < q]

@@ -17,6 +17,7 @@ from knightcycles.cycles import (
 )
 from knightcycles.search import (
     HalfPathBudgetError,
+    _dfs_one_start,
     _half_paths_raw,
     _mitm_one_pair,
     _mitm_pairs_for_start,
@@ -33,6 +34,53 @@ def _pair_emissions(board, k, s, t) -> list[tuple[int, ...]]:
     """Every closure one mitm (s, t) shard emits, before the canonical test."""
     out: list[tuple[int, ...]] = []
     _mitm_one_pair(board, k, s, t, None, out.append)
+    return out
+
+
+def _dfs_emissions(board, k, s) -> list[tuple[int, ...]]:
+    """Every closure one dfs start shard emits, before the canonical test."""
+    out: list[tuple[int, ...]] = []
+    _dfs_one_start(board, k, s, lambda path: out.append(tuple(path)))
+    return out
+
+
+def _unpruned_dfs(board, k, s) -> list[tuple[int, ...]]:
+    """Every closed path of k cells from s over cells >= s, in both
+    directions, cut only where it can no longer get back to s or touch
+    column 0 in the moves left."""
+    side = board.width
+    adj = [tuple(v for v in nbrs if v >= s) for nbrs in adjacency(board)]
+
+    def moves_to(sources):
+        dist = dict.fromkeys(sources, 0)
+        queue = list(sources)
+        for u in queue:
+            for v in adj[u]:
+                if v not in dist:
+                    dist[v] = dist[u] + 1
+                    queue.append(v)
+        return dist
+
+    far = k + 1
+    to_s = moves_to([s])
+    to_col0 = moves_to([c for c in range(1, board.size + 1, side) if c >= s])
+    out: list[tuple[int, ...]] = []
+    path = [s]
+
+    def extend(u, col0_seen):
+        left = k - len(path)
+        if left == 0:
+            if s in adj[u]:
+                out.append(tuple(path))
+            return
+        for v in adj[u]:
+            if (v not in path and to_s.get(v, far) <= left
+                    and (col0_seen or to_col0.get(v, far) < left)):
+                path.append(v)
+                extend(v, col0_seen or v % side == 1)
+                path.pop()
+
+    extend(s, s % side == 1)
     return out
 
 
@@ -165,6 +213,52 @@ class TestJoinPrefilter:
         # Closures handed to the canonicity test (a count, not a speed):
         # 3159 at k=8 and 89268 at k=10 without the start test.
         assert emitted_total == candidates
+
+
+class TestDfsPrefilter:
+    """The dfs cuts only drop closures the canonicity test rejects."""
+
+    @pytest.mark.parametrize("k, candidates", [(6, 52), (8, 1218), (10, 32641)])
+    def test_same_survivors_as_the_unpruned_recursion(self, k, candidates):
+        board = BoardSpec.for_cycle_length(k)
+        side = board.width
+        emitted_total = 0
+        for s in range(1, k // 2 + 2):
+            emitted = _dfs_emissions(board, k, s)
+            assert len(set(emitted)) == len(emitted)
+            assert all(seq[1] < seq[-1] for seq in emitted)
+            reference = {seq for seq in _unpruned_dfs(board, k, s)
+                         if _is_minimal_square(seq, side)}
+            assert {seq for seq in emitted
+                    if _is_minimal_square(seq, side)} == reference
+            emitted_total += len(emitted)
+        # Closures handed to the canonicity test (a count, not a speed):
+        # 254 at k=6, 6318 at k=8 and 178536 at k=10 with the unpruned cuts.
+        assert emitted_total == candidates
+
+    def test_largest_second_cell_is_never_entered(self):
+        """No neighbour of s above the largest one can close its path, so
+        the recursion never steps into it."""
+        k = 8
+        board = BoardSpec.for_cycle_length(k)
+        entered: list[int] = []
+
+        def watch(frame, event, _):
+            if (event == "call" and frame.f_code.co_name == "extend"
+                    and frame.f_locals["depth"] == 2):
+                entered.append(frame.f_locals["u"])
+
+        for s in range(1, k // 2 + 2):
+            entered.clear()
+            sys.setprofile(watch)
+            try:
+                _dfs_one_start(board, k, s, lambda path: None)
+            finally:
+                sys.setprofile(None)
+            largest = max(v for v in adjacency(board)[s] if v > s)
+            assert largest not in entered
+            if s == 1:
+                assert entered
 
 
 class TestEngineCounts:
