@@ -7,13 +7,11 @@ from .board import (
     coord_of,
     index_of,
     is_knight_move,
-    knight_neighbors,
     normalize_translation,
 )
 from .cycles import (
     CycleSeq,
     CycleValidationError,
-    are_equivalent,
     canonical_cell_set,
     canonical_key,
     canonicalize,
@@ -23,7 +21,6 @@ from .cycles import (
 from .geometry import orientation, segments_cross, is_simple
 from .search import (
     EnumerationSummary,
-    HalfPathBudgetError,
     ShardLostError,
     enumerate_cycles,
 )

@@ -266,7 +266,7 @@ def read_cycles(path):
             if not line:
                 raise ParseError("blank line in body", line=lineno)
             try:
-                cells = tuple(int(x) for x in line.split())
+                cells = tuple(map(int, line.split()))
             except ValueError:
                 raise ParseError(f"non-integer cell in {line!r}", line=lineno) from None
             if len(cells) != header.k:

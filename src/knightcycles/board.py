@@ -84,13 +84,6 @@ def adjacency(board: BoardSpec) -> tuple[tuple[int, ...], ...]:
     return tuple(adj)
 
 
-def knight_neighbors(index: int, board: BoardSpec) -> list[int]:
-    """On-board cells one knight move away from ``index``, ascending."""
-    if not (1 <= index <= board.size):
-        raise ValueError(f"cell index {index} out of range 1..{board.size}")
-    return list(adjacency(board)[index])
-
-
 # The 8 elements of the square's symmetry group, as named coordinate maps.
 # rot* are counter-clockwise; mirror flips about the vertical axis.
 _DIHEDRAL_MAPS = {

@@ -133,17 +133,12 @@ def canonical_key(cycle: CycleSeq) -> CycleSeq:
 def is_minimal(cycle: CycleSeq) -> bool:
     """True iff the cycle's own sequence is the canonical one for its class
     (placement-wise: the board width does not affect the answer)."""
-    if cycle.board.width == cycle.board.height:
-        return _is_minimal_square(cycle.cells, cycle.board.width)
-    return tuple(cycle.coords()) == _canonical_coords(cycle.coords())
-
-
-def are_equivalent(a: CycleSeq, b: CycleSeq) -> bool:
-    """True iff some combination of translation, rotation, mirroring, start
-    choice and direction maps one cycle onto the other."""
-    if len(a) != len(b):
-        return False
-    return _canonical_coords(a.coords()) == _canonical_coords(b.coords())
+    width, height = cycle.board.width, cycle.board.height
+    cells = cycle.cells
+    if width < height:  # renumber onto the height x height board
+        cells = tuple((i - 1) // width * height + (i - 1) % width + 1
+                      for i in cells)
+    return _is_minimal_square(cells, max(width, height))
 
 
 def canonical_cell_set(cycle: CycleSeq) -> tuple[int, ...]:

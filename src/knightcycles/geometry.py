@@ -82,26 +82,30 @@ class CrossingTable:
     """
 
     def __init__(self, board: BoardSpec):
-        self.board = board
         adj = adjacency(board)
-        coords = [None] + [coord_of(i, board) for i in range(1, board.size + 1)]
-        edge_id: dict[tuple[int, int], int] = {}
-        segs: list[Segment] = []
-        for u in range(1, board.size + 1):
-            for v in adj[u]:
-                if v > u:
-                    edge_id[(u, v)] = len(segs)
-                    segs.append((coords[u], coords[v]))
-        # crossing[e]: bit f set iff edges e and f cross.
+        edges = [(u, v) for u in range(1, board.size + 1)
+                 for v in adj[u] if v > u]
+        segs = [(coord_of(u, board), coord_of(v, board)) for u, v in edges]
+        # crossing[e]: bit f set iff edges e and f cross.  Edges come in the
+        # row order of their upper cell, so once f starts below e's lower end
+        # no later edge can meet e; nor can f when their columns miss.
         crossing = [0] * len(segs)
-        for e in range(len(segs)):
+        for e, ((_, e_u_col), (e_bottom, e_v_col)) in enumerate(segs):
+            e_left = min(e_u_col, e_v_col)
+            e_right = max(e_u_col, e_v_col)
             for f in range(e + 1, len(segs)):
+                (f_top, f_u_col), (_, f_v_col) = segs[f]
+                if f_top > e_bottom:
+                    break
+                if (f_u_col < e_left and f_v_col < e_left
+                        or f_u_col > e_right and f_v_col > e_right):
+                    continue
                 if segments_cross(segs[e], segs[f]):
                     crossing[e] |= 1 << f
                     crossing[f] |= 1 << e
         # Both orientations of edge e map to (bit e, crossing[e]).
         self._edges: dict[tuple[int, int], tuple[int, int]] = {}
-        for (u, v), e in edge_id.items():
+        for e, (u, v) in enumerate(edges):
             self._edges[(u, v)] = self._edges[(v, u)] = (1 << e, crossing[e])
 
     def is_simple_cells(self, cells) -> bool:

@@ -22,9 +22,9 @@ one start cell ``(s,)`` for dfs and one pair ``(s, t)`` for mitm, and runs
 each through ``_run_shard``: inline when jobs=1, in a process pool
 otherwise.  The engines only hand closures to an ``emit`` callback;
 ``_run_shard`` keeps the canonical ones, counts them and their simple subset
-and, when the caller gave a sink, writes the kept sequences sorted to a shard
-file.  The sink receives the heap merge of those files, so the summary and
-the stream are the same for every jobs value.
+and, when the caller gave a sink, streams them to a shard file in the order
+both engines emit them: ascending.  The sink receives the heap merge of those
+files, so the summary and the stream are the same for every jobs value.
 """
 
 from __future__ import annotations
@@ -55,21 +55,6 @@ class EnumerationSummary:
     elapsed: float
 
 
-class HalfPathBudgetError(RuntimeError):
-    """Half-path storage for one (s, t) pair exceeded the configured budget."""
-
-    def __init__(self, s: int, t: int, limit: int):
-        super().__init__(
-            f"more than {limit} half paths for start={s} end={t}; "
-            f"raise the budget or use the dfs engine")
-        self.s = s
-        self.t = t
-        self.limit = limit
-
-    def __reduce__(self):
-        return (type(self), (self.s, self.t, self.limit))
-
-
 class ShardLostError(RuntimeError):
     """A worker process died, and the shards whose results never came back
     (the one it was running among them) are lost."""
@@ -80,11 +65,6 @@ class ShardLostError(RuntimeError):
         super().__init__(
             f"a worker process died; {len(names)} shard(s) lost: {shown}")
         self.shards = shards
-
-
-def _check_length(k: int) -> None:
-    if k % 2 != 0 or k < 4:
-        raise ValueError(f"cycle length must be an even number >= 4, got {k}")
 
 
 @lru_cache(maxsize=64)
@@ -190,48 +170,42 @@ def _dfs_one_start(board: BoardSpec, k: int, s: int, emit) -> None:
     extend(s, 1, second, 0, s_col, s_col, 0 if s_col == 0 else -_FAR)
 
 
-def _half_paths_raw(board: BoardSpec, k: int, s: int, t: int,
-                    budget: int | None):
+def _half_paths_raw(board: BoardSpec, k: int, s: int, t: int):
     """All simple knight paths s -> t of exactly k/2 edges over cells >= s,
-    as (cells, visited-bitmask) pairs in ascending path order.  t is never
-    used as an interior cell."""
+    as cell tuples in ascending order.  t is never used as an interior
+    cell."""
     m = k // 2
     adj_s = _filtered_adjacency(board, s)
     dist_t = _distances(adj_s, (t,), board.size)
     if dist_t[s] > m:
         return []
-    out: list[tuple[tuple[int, ...], int]] = []
+    out: list[tuple[int, ...]] = []
     visited = bytearray(board.size + 1)
     visited[s] = 1
     visited[t] = 1
     path = [s]
 
-    def extend(u: int, edges_left: int, mask: int) -> None:
+    def extend(u: int, edges_left: int) -> None:
         if edges_left == 1:
             if dist_t[u] == 1:
-                path.append(t)
-                out.append((tuple(path), mask | (1 << t)))
-                path.pop()
-                if budget is not None and len(out) > budget:
-                    raise HalfPathBudgetError(s, t, budget)
+                out.append((*path, t))
             return
         for v in adj_s[u]:
             if not visited[v] and dist_t[v] < edges_left:
                 visited[v] = 1
                 path.append(v)
-                extend(v, edges_left - 1, mask | (1 << v))
+                extend(v, edges_left - 1)
                 path.pop()
                 visited[v] = 0
 
-    extend(s, m, 1 << s)
+    extend(s, m)
     return out
 
 
-def _mitm_one_pair(board: BoardSpec, k: int, s: int, t: int,
-                   budget: int | None, emit) -> None:
-    """Emit the closures with start s and opposite cell t that two s -> t
-    halves with disjoint interiors glue into, less those whose start test
-    already fails.
+def _mitm_one_pair(board: BoardSpec, k: int, s: int, t: int, emit) -> None:
+    """Emit, in ascending order, the closures with start s and opposite cell
+    t that two s -> t halves with disjoint interiors glue into, less those
+    whose start test already fails.
 
     A glued sequence starts at s, its smallest cell, so it can only be
     canonical when every symmetry image of it starts at an offset of at least
@@ -241,47 +215,49 @@ def _mitm_one_pair(board: BoardSpec, k: int, s: int, t: int,
     decide the test before the sequence is built.  The caller still runs the
     full canonicity test on every emission.
     """
-    halves = _half_paths_raw(board, k, s, t, budget)
+    halves = _half_paths_raw(board, k, s, t)
     if len(halves) < 2:
         return
     low = s - 1
-    extremes = [_side_extremes(cells, board.width) for cells, _ in halves]
-    # holders[c]: the halves whose interior holds cell c, as a bitset over
-    # half indices.  A half whose own column-0 cells start an image below s
-    # fails in every pair and joins nothing.
+    extremes = [_side_extremes(cells, board.width) for cells in halves]
+    # A closure reads half a forwards, then half b's interior backwards.  The
+    # a side goes in ascending order and the b side is indexed by reversed
+    # halves, so one a's partners, lowest bit first, glue in ascending order.
+    order = sorted(range(len(halves)), key=lambda i: halves[i][::-1])
+    tails = [halves[i][-2:0:-1] for i in order]
+    b_extremes = [extremes[i] for i in order]
+    # Bitsets over the b order: holders[c] and seconds[c] hold the halves
+    # with c in the interior and as the second cell.  A half whose own
+    # column-0 cells start an image below s joins nothing.
     holders = [0] * (board.size + 1)
+    seconds: dict[int, int] = {}
     col0 = 0
-    usable = 0
-    for i, (cells, _) in enumerate(halves):
+    for j, i in enumerate(order):
+        cells = halves[i]
         left_min = extremes[i][3]
         if left_min < low:
             continue
-        bit = 1 << i
-        usable |= bit
+        bit = 1 << j
         for c in cells[1:-1]:
             holders[c] |= bit
+        seconds[cells[1]] = seconds.get(cells[1], 0) | bit
         if left_min != _FAR:
             col0 |= bit
-    # Halves are in ascending order, so runs of equal second cell are
-    # contiguous; a glued sequence reads a's second cell at position 1 and
-    # b's at position k-1, and only pairs with the former smaller can be
-    # canonical, so b always comes from a strictly later run.
-    n = len(halves)
-    later = [0] * n
-    for i in range(n - 2, -1, -1):
-        if halves[i + 1][0][1] != halves[i][0][1]:
-            later[i] = usable >> (i + 1) << (i + 1)
-        else:
-            later[i] = later[i + 1]
-    for i, (a_cells, _) in enumerate(halves):
-        if not (usable >> i) & 1:
+    # A glued sequence reads a's second cell at position 1 and b's at
+    # position k-1, and only pairs with the former smaller can be canonical:
+    # above[c] holds the halves whose second cell lies above c (the seconds
+    # bitsets are disjoint, so their sum is their union).
+    above = {c: sum(bits for d, bits in seconds.items() if d > c)
+             for c in seconds}
+    for i, a_cells in enumerate(halves):
+        (a_rows, a_cols, a_top, a_left_min, a_left_max, a_bottom_min,
+         a_bottom_max, a_right_min, a_right_max) = extremes[i]
+        if a_left_min < low:
             continue
         clash = 0
         for c in a_cells[1:-1]:
             clash |= holders[c]
-        partners = later[i] & ~clash
-        (a_rows, a_cols, a_top, a_left_min, a_left_max, a_bottom_min,
-         a_bottom_max, a_right_min, a_right_max) = extremes[i]
+        partners = above[a_cells[1]] & ~clash
         if a_left_min == _FAR:
             partners &= col0
         while partners:
@@ -289,7 +265,7 @@ def _mitm_one_pair(board: BoardSpec, k: int, s: int, t: int,
             partners ^= bit
             j = bit.bit_length() - 1
             (b_rows, b_cols, b_top, _, b_left_max, b_bottom_min,
-             b_bottom_max, b_right_min, b_right_max) = extremes[j]
+             b_bottom_max, b_right_min, b_right_max) = b_extremes[j]
             # Conditional expressions: builtin min/max calls cost more here.
             last_row = a_rows if a_rows > b_rows else b_rows
             last_col = a_cols if a_cols > b_cols else b_cols
@@ -319,7 +295,7 @@ def _mitm_one_pair(board: BoardSpec, k: int, s: int, t: int,
                 right_min, right_max = b_right_min, b_right_max
             if right_min < low or last_row - right_max < low:
                 continue
-            emit(a_cells + halves[j][0][-2:0:-1])
+            emit(a_cells + tails[j])
 
 
 def _mitm_pairs_for_start(board: BoardSpec, k: int, s: int):
@@ -334,24 +310,26 @@ def _mitm_pairs_for_start(board: BoardSpec, k: int, s: int):
 
 
 def _run_shard(algorithm: str, k: int, simple_filter: bool,
-               emit_only_simple: bool, half_path_budget: int | None,
-               shard_dir: str | None, shard: tuple[int, ...]):
+               emit_only_simple: bool, shard_dir: str | None,
+               shard: tuple[int, ...]):
     """Run one shard, a start cell (dfs) or an (s, t) pair (mitm), and keep
     the canonical closures its engine emits.
 
-    Returns (shard, count, simple, shard_file).  Kept sequences are held only
-    when shard_dir is given; they then go, sorted, to a shard file there.  A
-    shard that keeps nothing writes no file and returns None for it.
+    Returns (shard, count, simple, shard_file).  Kept sequences stream to a
+    file in shard_dir, if given, and one not above the previous raises
+    RuntimeError.  A shard that keeps nothing writes no file (None).
     """
     board = BoardSpec.for_cycle_length(k)
     side = board.width
     table = crossing_table(board) if simple_filter else None
-    kept: list[tuple[int, ...]] | None = [] if shard_dir is not None else None
+    name = f"{algorithm}-{'-'.join(map(str, shard))}"
+    out = None
+    last: tuple[int, ...] = ()
     count = 0
     simple = 0
 
     def emit(seq) -> None:
-        nonlocal count, simple
+        nonlocal count, simple, out, last
         if not _is_minimal_square(seq, side):
             return
         count += 1
@@ -360,23 +338,26 @@ def _run_shard(algorithm: str, k: int, simple_filter: bool,
                 simple += 1
             elif emit_only_simple:
                 return
-        if kept is not None:
-            kept.append(tuple(seq))
+        if shard_dir is None:
+            return
+        seq = tuple(seq)
+        if seq <= last:
+            raise RuntimeError(
+                f"shard {name} emitted {seq} after {last}, out of order")
+        last = seq
+        if out is None:
+            out = open(os.path.join(shard_dir, f"{name}.shard"), "w")
+        out.write(" ".join(map(str, seq)) + "\n")
 
-    if algorithm == "dfs":
-        _dfs_one_start(board, k, *shard, emit)
-    else:
-        _mitm_one_pair(board, k, *shard, half_path_budget, emit)
-    if not kept:
-        return shard, count, simple, None
-    shard_file = os.path.join(
-        shard_dir, f"{algorithm}-{'-'.join(map(str, shard))}.shard")
-    kept.sort()
-    with open(shard_file, "w") as fh:
-        for seq in kept:
-            fh.write(" ".join(map(str, seq)))
-            fh.write("\n")
-    return shard, count, simple, shard_file
+    try:
+        if algorithm == "dfs":
+            _dfs_one_start(board, k, *shard, emit)
+        else:
+            _mitm_one_pair(board, k, *shard, emit)
+    finally:
+        if out is not None:
+            out.close()
+    return shard, count, simple, None if out is None else out.name
 
 
 def _run_in_pool(run, shards, workers: int) -> list:
@@ -416,18 +397,18 @@ def _read_shard(path: str):
 
 def enumerate_cycles(k: int, algorithm: str = "dfs", *,
                      simple_filter: bool = False, emit_only_simple: bool = False,
-                     jobs: int = 1, sink=None,
-                     half_path_budget: int | None = None) -> EnumerationSummary:
+                     jobs: int = 1, sink=None) -> EnumerationSummary:
     """Count (and optionally emit) every nonequivalent cycle of length k.
 
     Work is partitioned by start cell (dfs) or by (s, t) pair (mitm) and run
     inline (jobs=1) or in a pool of ``jobs`` processes.  A count-only call
-    holds no sequences and writes no files.  With a sink, every shard's kept
-    sequences go sorted to a file in a temporary directory and the sink
-    receives their merge: canonical sequences in strictly ascending order,
-    identical for every jobs value.
+    holds no sequences and writes no files.  With a sink, every shard streams
+    its kept sequences, in order, to a file in a temporary directory, and the
+    sink receives their merge: canonical sequences in strictly ascending
+    order, identical for every jobs value.
     """
-    _check_length(k)
+    if k % 2 != 0 or k < 4:
+        raise ValueError(f"cycle length must be an even number >= 4, got {k}")
     if algorithm not in ("dfs", "mitm"):
         raise ValueError(f"unknown algorithm {algorithm!r}")
     if jobs < 1:
@@ -446,7 +427,7 @@ def enumerate_cycles(k: int, algorithm: str = "dfs", *,
     with (tempfile.TemporaryDirectory(prefix="knightcycles-") if sink is not None
           else contextlib.nullcontext()) as shard_dir:
         run = partial(_run_shard, algorithm, k, simple_filter, emit_only_simple,
-                      half_path_budget, shard_dir)
+                      shard_dir)
         if jobs == 1:
             results = [run(shard) for shard in shards]
         else:

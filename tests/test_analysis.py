@@ -138,11 +138,12 @@ class TestCycleFiles:
         path = tmp_path / "broken.cycles"
         write_cycles(keys_by_k(4), path)
         lines = path.read_text().splitlines()
-        lines[2] = "1 2 3 4"
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ParseError) as err:
-            list(read_cycles(path))
-        assert err.value.line == 3
+        for bad in ("1 2 3 4", "1 8 x 12"):
+            lines[2] = bad
+            path.write_text("\n".join(lines) + "\n")
+            with pytest.raises(ParseError) as err:
+                list(read_cycles(path))
+            assert err.value.line == 3
 
     def test_out_of_range_index(self, tmp_path, keys_by_k):
         path = tmp_path / "range.cycles"

@@ -8,7 +8,6 @@ from knightcycles.board import (
     coord_of,
     index_of,
     is_knight_move,
-    knight_neighbors,
     normalize_translation,
 )
 
@@ -83,22 +82,22 @@ class TestKnightMoves:
 
 class TestNeighbors:
     def test_corner_degree_two(self, board5):
-        assert knight_neighbors(1, board5) == [8, 12]
+        assert adjacency(board5)[1] == (8, 12)
 
     def test_center_degree_eight(self, board5):
-        assert knight_neighbors(13, board5) == [2, 4, 6, 10, 16, 20, 22, 24]
+        assert adjacency(board5)[13] == (2, 4, 6, 10, 16, 20, 22, 24)
 
     def test_ascending_and_consistent_with_predicate(self, board6):
         for i in range(1, board6.size + 1):
-            nbrs = knight_neighbors(i, board6)
-            assert nbrs == sorted(nbrs)
+            nbrs = adjacency(board6)[i]
+            assert list(nbrs) == sorted(nbrs)
             for v in nbrs:
                 assert is_knight_move(coord_of(i, board6), coord_of(v, board6))
 
     def test_degree_bounds_on_big_enough_boards(self):
         for n in range(5, 10):
             board = BoardSpec.square(n)
-            degrees = [len(knight_neighbors(i, board))
+            degrees = [len(adjacency(board)[i])
                        for i in range(1, board.size + 1)]
             assert min(degrees) >= 2
             assert max(degrees) <= 8
@@ -108,10 +107,6 @@ class TestNeighbors:
         board = BoardSpec.square(n)
         directed = sum(len(adjacency(board)[i]) for i in range(1, board.size + 1))
         assert directed == 2 * 4 * (n - 2) * (n - 1)
-
-    def test_rejects_bad_index(self, board5):
-        with pytest.raises(ValueError):
-            knight_neighbors(0, board5)
 
 
 ASYMMETRIC = [(0, 0), (0, 3), (1, 0), (2, 2), (4, 1)]

@@ -8,7 +8,6 @@ from knightcycles.cycles import (
     CycleValidationError,
     _canonical_coords,
     _is_minimal_square,
-    are_equivalent,
     canonical_cell_set,
     canonical_key,
     canonicalize,
@@ -218,6 +217,42 @@ class TestIsMinimal:
         moved = data.draw(st.sampled_from(reencodings))
         assert _canonical_coords(moved) == canonical
 
+    @settings(derandomize=True, database=None, max_examples=100,
+              deadline=None)
+    @given(data=st.data())
+    def test_rectangular_boards_match_the_oracle(self, keys_by_k, data):
+        """A random k=10 class on a random W x H board with W != H, in every
+        symmetry, start and direction, both in the board's corner and
+        translated by a random offset: is_minimal accepts exactly the
+        oracle's canonical sequence, which only the corner placement holds."""
+        k = 10
+        keys = keys_by_k(k)
+        standard = BoardSpec.for_cycle_length(k)
+        coords = [coord_of(i, standard)
+                  for i in keys[data.draw(st.integers(0, len(keys) - 1))]]
+        span = max(max(p) for p in coords)
+        width = data.draw(st.integers(span + 1, span + 4))
+        height = data.draw(st.integers(span + 1, span + 4)
+                           .filter(lambda h: h != width))
+        board = BoardSpec(width, height)
+        room = min(width, height) - 1 - span
+        shift = (data.draw(st.integers(0, room)),
+                 data.draw(st.integers(0, room)))
+        oracle = tuple(index_of(p, board) for p in _canonical_coords(coords))
+        for dr, dc in {(0, 0), shift}:
+            accepted = 0
+            for elem in DIHEDRAL_ELEMENTS:
+                pts = [(r + dr, c + dc) for r, c in
+                       normalize_translation(apply_dihedral(coords, elem))]
+                for start in range(k):
+                    rotated = pts[start:] + pts[:start]
+                    for moved in (rotated, rotated[:1] + rotated[:0:-1]):
+                        seq = tuple(index_of(p, board) for p in moved)
+                        ok = is_minimal(CycleSeq(seq, board))
+                        assert ok == (seq == oracle), (seq, oracle)
+                        accepted += ok
+            assert (accepted > 0) == ((dr, dc) == (0, 0))
+
 
 class TestEquivalence:
     def test_all_eight_placements_equivalent(self, board5):
@@ -225,35 +260,36 @@ class TestEquivalence:
                   for s in (MINIMAL_K8_W5,) + EQUIVALENT_K8_W5]
         for a in cycles:
             for b in cycles:
-                assert are_equivalent(a, b)
+                assert canonical_key(a) == canonical_key(b)
 
     def test_twins_are_not_equivalent(self, board6):
         cycles = [validate_cycle(s, board6) for s in TWIN_K8_W6]
         for i in range(3):
             for j in range(3):
-                assert are_equivalent(cycles[i], cycles[j]) == (i == j)
+                assert ((canonical_key(cycles[i]) == canonical_key(cycles[j]))
+                        == (i == j))
 
     def test_direction_reversal_is_equivalent(self, board5):
         cycle = validate_cycle(MINIMAL_K8_W5, board5)
         reverse = validate_cycle(MINIMAL_K8_W5[:1] + MINIMAL_K8_W5[1:][::-1],
                                  board5)
-        assert are_equivalent(cycle, reverse)
+        assert canonical_key(cycle) == canonical_key(reverse)
 
     def test_different_lengths_never_equivalent(self, keys_by_k):
         a = CycleSeq(keys_by_k(4)[0], BoardSpec.square(5))
         b = CycleSeq(keys_by_k(6)[0], BoardSpec.square(7))
-        assert not are_equivalent(a, b)
+        assert canonical_key(a) != canonical_key(b)
 
     def test_equivalence_relation_on_k6_classes(self, keys_by_k):
         board = BoardSpec.square(7)
         cycles = [CycleSeq(key, board) for key in keys_by_k(6)]
         for c in cycles:
-            assert are_equivalent(c, c)
+            assert canonical_key(c) == canonical_key(c)
         for a in cycles:
             for b in cycles:
                 if a is not b:
-                    assert not are_equivalent(a, b)
-                    assert not are_equivalent(b, a)
+                    assert canonical_key(a) != canonical_key(b)
+                    assert canonical_key(b) != canonical_key(a)
 
 
 class TestCellSet:

@@ -217,6 +217,25 @@ class TestCrossingTable:
                 for seq in orderings:
                     assert table.is_simple_cells(seq) == expected
 
+    @pytest.mark.parametrize("side", [9, 13])
+    def test_equals_the_all_pairs_table(self, side):
+        """The build skips edge pairs whose rows or columns cannot meet; its
+        masks equal those from testing every pair of edges."""
+        board = BoardSpec.square(side)
+        table = crossing_table(board)
+        adj = adjacency(board)
+        edges = [(u, v) for u in range(1, board.size + 1)
+                 for v in adj[u] if v > u]
+        segs = {e: (coord_of(e[0], board), coord_of(e[1], board))
+                for e in edges}
+        for e in edges:
+            expected = 0
+            for f in edges:
+                if f != e and segments_cross(segs[e], segs[f]):
+                    expected |= table._edges[f][0]
+            assert table._edges[e][1] == expected
+            assert table._edges[e[::-1]] == table._edges[e]
+
     def test_cached_per_board(self):
         board = BoardSpec.square(7)
         assert crossing_table(board) is crossing_table(board)

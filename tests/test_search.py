@@ -15,8 +15,8 @@ from knightcycles.cycles import (
     _is_minimal_square,
     validate_cycle,
 )
+from knightcycles import search
 from knightcycles.search import (
-    HalfPathBudgetError,
     _dfs_one_start,
     _half_paths_raw,
     _mitm_one_pair,
@@ -33,7 +33,7 @@ def _mask(cells) -> int:
 def _pair_emissions(board, k, s, t) -> list[tuple[int, ...]]:
     """Every closure one mitm (s, t) shard emits, before the canonical test."""
     out: list[tuple[int, ...]] = []
-    _mitm_one_pair(board, k, s, t, None, out.append)
+    _mitm_one_pair(board, k, s, t, out.append)
     return out
 
 
@@ -124,28 +124,26 @@ class TestStartSet:
 
 class TestHalfPaths:
     def test_single_path(self, board5):
-        assert _half_paths_raw(board5, 4, 1, 15, None) == [
-            ((1, 8, 15), _mask((1, 8, 15)))]
+        assert _half_paths_raw(board5, 4, 1, 15) == [(1, 8, 15)]
 
     def test_no_path(self, board5):
-        assert _half_paths_raw(board5, 4, 1, 25, None) == []
+        assert _half_paths_raw(board5, 4, 1, 25) == []
 
     def test_two_paths(self, board5):
-        got = dict(_half_paths_raw(board5, 4, 2, 18, None))
-        assert got[(2, 9, 18)] == _mask((2, 9, 18))
-        assert got[(2, 11, 18)] == _mask((2, 11, 18))
+        got = _half_paths_raw(board5, 4, 2, 18)
+        assert (2, 9, 18) in got
+        assert (2, 11, 18) in got
 
     def test_deterministic_ascending_order(self, board5):
-        got = [cells for cells, _ in _half_paths_raw(board5, 4, 2, 18, None)]
+        got = _half_paths_raw(board5, 4, 2, 18)
         assert got == sorted(got)
 
     def test_invariants(self):
         board = BoardSpec.square(9)
         for t in (12, 20, 30):
-            for cells, mask in _half_paths_raw(board, 8, 2, t, None):
+            for cells in _half_paths_raw(board, 8, 2, t):
                 assert len(cells) == 5
                 assert len(set(cells)) == 5
-                assert mask == _mask(cells)
                 assert cells[0] == 2 and cells[-1] == t
                 assert all(c >= 2 for c in cells)
                 assert t not in cells[1:-1]
@@ -163,14 +161,14 @@ class TestAssemble:
         validate_cycle((2, 9, 18, 11), board5)
 
     def test_rejects_same_half(self, board5):
-        assert _half_paths_raw(board5, 4, 1, 15, None) != []
+        assert _half_paths_raw(board5, 4, 1, 15) != []
         assert _pair_emissions(board5, 4, 1, 15) == []
 
     def test_rejects_shared_interior(self):
         board = BoardSpec.square(9)
-        halves = _half_paths_raw(board, 8, 1, 25, None)
+        masks = [_mask(cells) for cells in _half_paths_raw(board, 8, 1, 25)]
         base = _mask((1, 25))
-        assert any(a & b != base for _, a in halves for _, b in halves if a != b)
+        assert any(a & b != base for a in masks for b in masks if a != b)
         emitted = _pair_emissions(board, 8, 1, 25)
         assert emitted
         assert all(len(set(seq)) == 8 for seq in emitted)
@@ -195,7 +193,8 @@ class TestJoinPrefilter:
         emitted_total = 0
         for s in range(1, k // 2 + 2):
             for t in _mitm_pairs_for_start(board, k, s):
-                halves = _half_paths_raw(board, k, s, t, None)
+                halves = [(cells, _mask(cells))
+                          for cells in _half_paths_raw(board, k, s, t)]
                 base = _mask((s, t))
                 brute = set()
                 for i, (a, a_mask) in enumerate(halves):
@@ -213,6 +212,21 @@ class TestJoinPrefilter:
         # Closures handed to the canonicity test (a count, not a speed):
         # 3159 at k=8 and 89268 at k=10 without the start test.
         assert emitted_total == candidates
+
+
+class TestEmissionOrder:
+    """Both engines emit every shard in ascending order, so a shard file
+    needs no sort."""
+
+    @pytest.mark.parametrize("k", [4, 6, 8, 10])
+    def test_every_shard_emits_ascending(self, k):
+        board = BoardSpec.for_cycle_length(k)
+        for s in range(1, k // 2 + 2):
+            shards = [_dfs_emissions(board, k, s)]
+            shards += [_pair_emissions(board, k, s, t)
+                       for t in _mitm_pairs_for_start(board, k, s)]
+            for emitted in shards:
+                assert all(a < b for a, b in zip(emitted, emitted[1:]))
 
 
 class TestDfsPrefilter:
@@ -475,12 +489,24 @@ class TestFailureModes:
         assert "KeyboardInterrupt" in err
         assert os.listdir(tmp_path) == []
 
-    def test_half_path_budget_names_the_pair(self):
-        with pytest.raises(HalfPathBudgetError) as err:
-            enumerate_cycles(8, "mitm", jobs=1, half_path_budget=1)
-        assert err.value.s >= 1
-        assert err.value.t > err.value.s
-        assert "half paths" in str(err.value)
+    def test_out_of_order_shard_stops_a_listing(self, tmp_path, monkeypatch):
+        """An engine that emits out of order fails a run with a sink through
+        the shard writer's ordering check and leaves no temp files; a count
+        needs no order and still succeeds."""
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        engine = search._dfs_one_start
+
+        def reversed_engine(board, k, s, emit):
+            emitted: list[tuple[int, ...]] = []
+            engine(board, k, s, lambda path: emitted.append(tuple(path)))
+            for seq in reversed(emitted):
+                emit(seq)
+
+        monkeypatch.setattr(search, "_dfs_one_start", reversed_engine)
+        assert enumerate_cycles(8, "dfs", jobs=1).total == 480
+        with pytest.raises(RuntimeError, match="shard dfs-1 .* out of order"):
+            enumerate_cycles(8, "dfs", jobs=1, sink=lambda seq: None)
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("algorithm", ["dfs", "mitm"])
     def test_sink_errors_propagate(self, algorithm):
@@ -492,9 +518,3 @@ class TestFailureModes:
 
         with pytest.raises(SinkError):
             enumerate_cycles(6, algorithm, jobs=1, sink=sink)
-
-    def test_budget_error_survives_pickling(self):
-        import pickle
-        err = HalfPathBudgetError(2, 17, 1000)
-        clone = pickle.loads(pickle.dumps(err))
-        assert (clone.s, clone.t, clone.limit) == (2, 17, 1000)
