@@ -160,7 +160,7 @@ def canonical_cell_set(cycle: CycleSeq) -> tuple[int, ...]:
 @lru_cache(maxsize=16)
 def _symmetry_tables(side: int) -> tuple[tuple[int, ...], ...]:
     """The 7 non-identity symmetries of a side x side board as cell
-    permutations, in the order of _is_minimal_square's images; the fourth,
+    permutations, in the order of _is_minimal_given's images; the fourth,
     the transpose, is also the column-major numbering of the cells."""
     maps = (
         lambda r, c: (r, side - 1 - c),
@@ -213,7 +213,22 @@ def _side_extremes(cells, side: int) -> tuple[int, ...]:
 
 def _is_minimal_square(cells, side: int) -> bool:
     """True iff ``cells`` is the canonical sequence of its class, for a cycle
-    on a square board of the given side.
+    on a square board of the given side: the reversal and start checks, then
+    the core on the side extremes read off the cells.  Returns False for a
+    placement that is not translation-normalized.
+    """
+    if cells[1] > cells[-1] or cells[0] > side or min(cells) != cells[0]:
+        return False
+    return _is_minimal_given(cells, side, _side_extremes(cells, side))
+
+
+def _is_minimal_given(cells, side: int, extremes) -> bool:
+    """The canonicity core: True iff ``cells`` is the canonical sequence of
+    its class, given its side extremes in the order of _side_extremes.  The
+    caller has checked that cells[0] is the smallest cell, on row 0, and that
+    cells[1] < cells[-1]; both engines guarantee that by construction and
+    hand over the extremes their own bounding box already holds, so only
+    is_minimal reads them off the cells.
 
     Each of the 8 symmetry images of the placement, translation-normalized,
     starts at an extreme cell of one side of the bounding box [0, R] x [0, C]:
@@ -224,15 +239,13 @@ def _is_minimal_square(cells, side: int) -> bool:
     cells[0]: a smaller start rejects at once, a larger one loses.  Only the
     tied images are compared sequence-wise, lazily from their start cell in
     both directions; the identity needs nothing beyond the reversal check.
-    Returns False for a placement that is not translation-normalized.
+    A placement off column 0 is not translation-normalized and is rejected.
     """
-    first = cells[0]
-    if cells[1] > cells[-1] or first > side or min(cells) != first:
-        return False
     (last_row, last_col, top_max, left_min, left_max, bottom_min, bottom_max,
-     right_min, right_max) = _side_extremes(cells, side)
+     right_min, right_max) = extremes
     if left_min == _FAR:
         return False
+    first = cells[0]
     low = first - 1
     offsets = (last_col - top_max, bottom_min, last_col - bottom_max,
                left_min, last_row - left_max, right_min, last_row - right_max)

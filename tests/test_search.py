@@ -12,10 +12,12 @@ from knightcycles.board import BoardSpec, adjacency, coord_of
 from knightcycles.cycles import (
     CycleSeq,
     _canonical_coords,
+    _is_minimal_given,
     _is_minimal_square,
+    _side_extremes,
     validate_cycle,
 )
-from knightcycles import search
+from knightcycles import cycles, search
 from knightcycles.search import (
     _dfs_one_start,
     _half_paths_raw,
@@ -33,14 +35,15 @@ def _mask(cells) -> int:
 def _pair_emissions(board, k, s, t) -> list[tuple[int, ...]]:
     """Every closure one mitm (s, t) shard emits, before the canonical test."""
     out: list[tuple[int, ...]] = []
-    _mitm_one_pair(board, k, s, t, out.append)
+    _mitm_one_pair(board, k, s, t, lambda seq, extremes: out.append(seq))
     return out
 
 
 def _dfs_emissions(board, k, s) -> list[tuple[int, ...]]:
     """Every closure one dfs start shard emits, before the canonical test."""
     out: list[tuple[int, ...]] = []
-    _dfs_one_start(board, k, s, lambda path: out.append(tuple(path)))
+    _dfs_one_start(board, k, s,
+                   lambda path, extremes: out.append(tuple(path)))
     return out
 
 
@@ -266,13 +269,59 @@ class TestDfsPrefilter:
             entered.clear()
             sys.setprofile(watch)
             try:
-                _dfs_one_start(board, k, s, lambda path: None)
+                _dfs_one_start(board, k, s, lambda path, extremes: None)
             finally:
                 sys.setprofile(None)
             largest = max(v for v in adjacency(board)[s] if v > s)
             assert largest not in entered
             if s == 1:
                 assert entered
+
+
+class TestEngineExtremes:
+    """Both engines hand the canonicity core their own side extremes, so
+    the core never reads them off the cells on the engines' path."""
+
+    @pytest.mark.parametrize("k", [4, 6, 8, 10])
+    def test_engine_extremes_are_the_true_extremes(self, k):
+        board = BoardSpec.for_cycle_length(k)
+        side = board.width
+        emitted: list = []
+
+        def record(seq, extremes):
+            emitted.append((tuple(seq), extremes))
+
+        for s in range(1, k // 2 + 2):
+            _dfs_one_start(board, k, s, record)
+            for t in _mitm_pairs_for_start(board, k, s):
+                _mitm_one_pair(board, k, s, t, record)
+        assert emitted
+        for seq, extremes in emitted:
+            assert extremes == _side_extremes(seq, side), seq
+            assert (_is_minimal_given(seq, side, extremes)
+                    == _is_minimal_square(seq, side)), seq
+
+    @pytest.mark.parametrize("algorithm", ["dfs", "mitm"])
+    def test_side_extremes_only_for_half_paths(self, algorithm, monkeypatch):
+        """dfs never derives the extremes from cells, and mitm only once
+        per half path, never per candidate."""
+        k = 8
+        calls = 0
+        real = cycles._side_extremes
+
+        def counting(cells, side):
+            nonlocal calls
+            calls += 1
+            return real(cells, side)
+
+        monkeypatch.setattr(cycles, "_side_extremes", counting)
+        monkeypatch.setattr(search, "_side_extremes", counting)
+        assert enumerate_cycles(k, algorithm, jobs=1).total == 480
+        board = BoardSpec.for_cycle_length(k)
+        half_paths = sum(len(_half_paths_raw(board, k, s, t))
+                         for s in range(1, k // 2 + 2)
+                         for t in _mitm_pairs_for_start(board, k, s))
+        assert calls == (0 if algorithm == "dfs" else half_paths)
 
 
 class TestEngineCounts:
@@ -497,10 +546,11 @@ class TestFailureModes:
         engine = search._dfs_one_start
 
         def reversed_engine(board, k, s, emit):
-            emitted: list[tuple[int, ...]] = []
-            engine(board, k, s, lambda path: emitted.append(tuple(path)))
-            for seq in reversed(emitted):
-                emit(seq)
+            emitted: list = []
+            engine(board, k, s, lambda path, extremes:
+                   emitted.append((tuple(path), extremes)))
+            for seq, extremes in reversed(emitted):
+                emit(seq, extremes)
 
         monkeypatch.setattr(search, "_dfs_one_start", reversed_engine)
         assert enumerate_cycles(8, "dfs", jobs=1).total == 480
