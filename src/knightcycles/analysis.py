@@ -3,6 +3,7 @@ grid rendering."""
 
 from __future__ import annotations
 
+import errno
 import os
 import shutil
 import tempfile
@@ -137,13 +138,13 @@ class CycleFileWriter:
     manager and feed ``write`` (it is sink-compatible with the engines).
     """
 
-    def __init__(self, path, k: int, board: BoardSpec | None = None,
-                 filter_tag: str = "all"):
+    def __init__(self, path, k: int, filter_tag: str = "all"):
         if filter_tag not in ("all", "simple"):
             raise ValueError(f"filter tag must be 'all' or 'simple', got {filter_tag!r}")
         self.path = os.fspath(path)
+        if os.path.isdir(self.path):  # fail before the enumeration, not after
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), self.path)
         self.k = k
-        self.board = board or BoardSpec.for_cycle_length(k)
         self.filter_tag = filter_tag
         self.count = 0
         self._last: tuple[int, ...] | None = None
@@ -169,6 +170,7 @@ class CycleFileWriter:
         leaves any earlier listing at the path intact."""
         # Unique while the body file exists; O_EXCL refuses a stray file.
         staged = self._body.name + ".listing"
+        board = BoardSpec.for_cycle_length(self.k)
         try:
             self._body.flush()
             self._body.seek(0)
@@ -177,7 +179,7 @@ class CycleFileWriter:
             try:
                 with open(fd, "w", newline="\n") as out:
                     out.write(f"{FORMAT_MAGIC} {FORMAT_VERSION} k={self.k} "
-                              f"board={self.board.width}x{self.board.height} "
+                              f"board={board.width}x{board.height} "
                               f"count={self.count} filter={self.filter_tag}\n")
                     shutil.copyfileobj(self._body, out)
                 os.replace(staged, self.path)
@@ -185,12 +187,14 @@ class CycleFileWriter:
                 os.unlink(staged)
                 raise
         finally:
-            self._body.close()
-            os.unlink(self._body.name)
+            self.abort()
 
     def abort(self) -> None:
-        self._body.close()
-        os.unlink(self._body.name)
+        """Drop the spooled body without publishing; a no-op once close()
+        or abort() has run, whether close() succeeded or not."""
+        if not self._body.closed:
+            self._body.close()
+            os.unlink(self._body.name)
 
     def __enter__(self) -> "CycleFileWriter":
         return self
@@ -202,8 +206,7 @@ class CycleFileWriter:
             self.abort()
 
 
-def write_cycles(cycles, path, k: int | None = None,
-                 board: BoardSpec | None = None, filter_tag: str = "all") -> int:
+def write_cycles(cycles, path, k: int | None = None, filter_tag: str = "all") -> int:
     """Write a listing (already sorted ascending) and return the count."""
     cycles = iter(cycles)
     first = next(cycles, None)
@@ -211,7 +214,7 @@ def write_cycles(cycles, path, k: int | None = None,
         raise ValueError("cannot infer cycle length from an empty listing; pass k")
     if k is None:
         k = len(tuple(first))
-    with CycleFileWriter(path, k, board, filter_tag) as writer:
+    with CycleFileWriter(path, k, filter_tag) as writer:
         if first is not None:
             writer.write(first)
         for cells in cycles:
@@ -252,8 +255,8 @@ def read_cycles(path):
     """Yield each listed cycle as a validated CycleSeq.
 
     Raises ParseError (with the line number) for a malformed header, body
-    lines that are not valid cycles of the advertised length, or a count
-    that does not match the body.
+    lines that are not valid cycles of the advertised length, a body that
+    is not strictly ascending, or a count that does not match the body.
     """
     with open(path) as fh:
         header_line = fh.readline()
@@ -261,6 +264,7 @@ def read_cycles(path):
             raise ParseError("empty file", line=1)
         header = read_cycle_header(header_line.rstrip("\n"))
         seen = 0
+        previous: tuple[int, ...] = ()
         for lineno, line in enumerate(fh, start=2):
             line = line.strip()
             if not line:
@@ -272,6 +276,11 @@ def read_cycles(path):
             if len(cells) != header.k:
                 raise ParseError(
                     f"expected {header.k} cells, got {len(cells)}", line=lineno)
+            if cells <= previous:
+                raise ParseError(
+                    f"cycles must be strictly ascending: {cells} after {previous}",
+                    line=lineno)
+            previous = cells
             seen += 1
             if seen > header.count:
                 raise ParseError(

@@ -21,7 +21,7 @@ from .analysis import (
     verify_tables,
 )
 from .board import BoardSpec
-from .cycles import CycleValidationError, is_minimal, validate_cycle
+from .cycles import is_minimal, validate_cycle
 from .search import ShardLostError, enumerate_cycles
 
 USAGE_ERROR = 2
@@ -37,12 +37,8 @@ def _default_jobs() -> int:
 
 
 def _add_jobs_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--jobs", type=int, default=None, metavar="N",
+    parser.add_argument("--jobs", type=int, default=_default_jobs(), metavar="N",
                         help="parallel workers (default: KNIGHT_CYCLES_JOBS or 1)")
-
-
-def _resolve_jobs(args) -> int:
-    return args.jobs if args.jobs is not None else _default_jobs()
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -94,7 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_count(args) -> int:
     summary = enumerate_cycles(
         args.length, args.algorithm,
-        simple_filter=args.simple_only, jobs=_resolve_jobs(args))
+        simple_filter=args.simple_only, jobs=args.jobs)
     line = f"k={summary.k} total={summary.total}"
     if summary.simple is not None:
         line += f" simple={summary.simple}"
@@ -104,20 +100,13 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_list(args) -> int:
-    k = args.length
     filter_tag = "simple" if args.simple_only else "all"
-    writer = CycleFileWriter(args.out, k, filter_tag=filter_tag)
-    try:
-        summary = enumerate_cycles(
-            k, args.algorithm, jobs=_resolve_jobs(args),
+    with CycleFileWriter(args.out, args.length, filter_tag) as writer:
+        enumerate_cycles(
+            args.length, args.algorithm, jobs=args.jobs,
             simple_filter=args.simple_only, emit_only_simple=args.simple_only,
             sink=writer.write)
-        writer.close()
-    except BaseException:
-        writer.abort()
-        raise
-    written = summary.simple if args.simple_only else summary.total
-    print(f"wrote {written} cycles to {args.out}")
+    print(f"wrote {writer.count} cycles to {args.out}")
     return 0
 
 
@@ -130,7 +119,7 @@ def _cmd_verify(args) -> int:
               f"elapsed={row.elapsed:.2f}s  {status}")
 
     report = verify_tables(args.max_length, args.algorithm,
-                           jobs=_resolve_jobs(args), on_row=show)
+                           jobs=args.jobs, on_row=show)
     if report.passed:
         print("all counts match")
         return 0
@@ -141,7 +130,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_twins(args) -> int:
     collected: list[tuple[int, ...]] = []
-    enumerate_cycles(args.length, "dfs", jobs=_resolve_jobs(args),
+    enumerate_cycles(args.length, "dfs", jobs=args.jobs,
                      sink=collected.append)
     groups = group_geometric_twins(collected)
     out = open(args.out, "w") if args.out else sys.stdout
@@ -181,23 +170,15 @@ def _cmd_check(args) -> int:
     try:
         with open(args.infile) as fh:
             header = read_cycle_header(fh.readline().rstrip("\n"))
-        previous = None
-        count = 0
-        for cycle in read_cycles(args.infile):
+        for number, cycle in enumerate(read_cycles(args.infile), start=1):
             if not is_minimal(cycle):
-                print(f"not canonical at cycle {count + 1}: "
+                print(f"not canonical at cycle {number}: "
                       f"{','.join(map(str, cycle.cells))}", file=sys.stderr)
                 return FAILURE
-            if previous is not None and cycle.cells <= previous:
-                print(f"listing not strictly ascending at cycle {count + 1}",
-                      file=sys.stderr)
-                return FAILURE
-            previous = cycle.cells
-            count += 1
-    except (ParseError, CycleValidationError, OSError) as exc:
+    except (ParseError, OSError) as exc:
         print(f"{args.infile}: {exc}", file=sys.stderr)
         return FAILURE
-    print(f"{args.infile}: OK, {count} cycles of length {header.k}, "
+    print(f"{args.infile}: OK, {header.count} cycles of length {header.k}, "
           f"filter={header.filter_tag}")
     return 0
 

@@ -19,8 +19,8 @@ from operator import itemgetter
 
 from .board import (
     BoardSpec,
+    DIHEDRAL_ELEMENTS,
     Coord,
-    _DIHEDRAL_MAPS,
     apply_dihedral,
     coord_of,
     index_of,
@@ -90,6 +90,13 @@ def validate_cycle(cells, board: BoardSpec) -> CycleSeq:
     return CycleSeq(cells, board)
 
 
+def _normalized_images(coords: list[Coord]):
+    """Yield the 8 symmetry images of ``coords``, each translation-normalized,
+    with the points in their original order."""
+    for element in DIHEDRAL_ELEMENTS:
+        yield normalize_translation(apply_dihedral(coords, element))
+
+
 def _canonical_coords(coords: list[Coord]) -> tuple[Coord, ...]:
     """Canonical placement of a cycle, as coordinates.
 
@@ -99,17 +106,13 @@ def _canonical_coords(coords: list[Coord]) -> tuple[Coord, ...]:
     direction) suffice per image; comparing (row, col) pairs lexicographically
     matches comparing cell indices on any board the placement fits.
     """
-    k = len(coords)
-    best: tuple[Coord, ...] | None = None
-    for element in _DIHEDRAL_MAPS:
-        pts = normalize_translation(apply_dihedral(coords, element))
+    candidates = []
+    for pts in _normalized_images(coords):
         j = pts.index(min(pts))
-        for step in (1, -1):
-            cand = tuple(pts[(j + step * off) % k] for off in range(k))
-            if best is None or cand < best:
-                best = cand
-    assert best is not None
-    return best
+        ring = pts[j:] + pts[:j]
+        candidates.append(tuple(ring))
+        candidates.append(tuple(ring[:1] + ring[:0:-1]))
+    return min(candidates)
 
 
 def canonicalize(cycle: CycleSeq) -> CycleSeq:
@@ -146,39 +149,24 @@ def canonical_cell_set(cycle: CycleSeq) -> tuple[int, ...]:
     standard (k+1) x (k+1) board.  Cycles tracing non-congruent polygons over
     congruent cell sets share this key; it is what twin detection groups by."""
     board = BoardSpec.for_cycle_length(len(cycle))
-    coords = cycle.coords()
-    best: tuple[int, ...] | None = None
-    for element in _DIHEDRAL_MAPS:
-        pts = normalize_translation(apply_dihedral(coords, element))
-        cand = tuple(sorted(index_of(p, board) for p in pts))
-        if best is None or cand < best:
-            best = cand
-    assert best is not None
-    return best
+    return min(tuple(sorted(index_of(p, board) for p in pts))
+               for pts in _normalized_images(cycle.coords()))
+
+
+# The non-identity symmetries, in the order of _is_minimal_given's images.
+_IMAGE_ORDER = ("mirror", "mirror_rot180", "rot180", "mirror_rot90", "rot90",
+                "rot270", "mirror_rot270")
 
 
 @lru_cache(maxsize=16)
 def _symmetry_tables(side: int) -> tuple[tuple[int, ...], ...]:
     """The 7 non-identity symmetries of a side x side board as cell
-    permutations, in the order of _is_minimal_given's images; the fourth,
-    the transpose, is also the column-major numbering of the cells."""
-    maps = (
-        lambda r, c: (r, side - 1 - c),
-        lambda r, c: (side - 1 - r, c),
-        lambda r, c: (side - 1 - r, side - 1 - c),
-        lambda r, c: (c, r),
-        lambda r, c: (c, side - 1 - r),
-        lambda r, c: (side - 1 - c, r),
-        lambda r, c: (side - 1 - c, side - 1 - r),
-    )
-    tables = []
-    for f in maps:
-        table = [0]
-        for i in range(1, side * side + 1):
-            r, c = f(*divmod(i - 1, side))
-            table.append(r * side + c + 1)
-        tables.append(tuple(table))
-    return tuple(tables)
+    permutations (slot 0 unused), in _IMAGE_ORDER; the fourth, the
+    transpose, is also the column-major numbering of the cells."""
+    cells = [divmod(i, side) for i in range(side * side)]
+    images = (normalize_translation(apply_dihedral(cells, element))
+              for element in _IMAGE_ORDER)
+    return tuple((0,) + tuple(r * side + c + 1 for r, c in image) for image in images)
 
 
 # Beyond any row or column of a board that a cycle of length <= 16 uses.

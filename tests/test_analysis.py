@@ -155,6 +155,20 @@ class TestCycleFiles:
             list(read_cycles(path))
         assert err.value.line == 2
 
+    @pytest.mark.parametrize("edit", ["swapped pair", "repeated line"])
+    def test_unordered_body_reported_with_number(self, tmp_path, keys_by_k, edit):
+        path = tmp_path / "order.cycles"
+        write_cycles(keys_by_k(4), path)
+        lines = path.read_text().splitlines()
+        if edit == "swapped pair":
+            lines[2], lines[3] = lines[3], lines[2]
+        else:
+            lines[3] = lines[2]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match="ascending") as err:
+            list(read_cycles(path))
+        assert err.value.line == 4
+
     def test_writer_rejects_unsorted(self, tmp_path, keys_by_k):
         keys = list(keys_by_k(4))
         with pytest.raises(ValueError, match="ascending"):
@@ -189,6 +203,26 @@ class TestCycleFiles:
             write_cycles(keys_by_k(8), path)
         assert path.read_bytes() == previous
         assert [p.name for p in tmp_path.iterdir()] == ["x.cycles"]
+
+    @pytest.mark.parametrize("fail", [False, True])
+    def test_abort_after_close_is_a_no_op(self, tmp_path, keys_by_k, monkeypatch,
+                                          fail):
+        def copy_then_fail(src, dst):
+            dst.write(src.read(10))
+            raise OSError("disk full")
+
+        if fail:
+            monkeypatch.setattr(shutil, "copyfileobj", copy_then_fail)
+        writer = CycleFileWriter(tmp_path / "x.cycles", 4)
+        writer.write(keys_by_k(4)[0])
+        if fail:
+            with pytest.raises(OSError, match="disk full"):
+                writer.close()
+        else:
+            writer.close()
+        writer.abort()
+        expected = [] if fail else ["x.cycles"]
+        assert [p.name for p in tmp_path.iterdir()] == expected
 
     @pytest.mark.parametrize("umask", [0o022, 0o077])
     def test_listing_mode_follows_umask(self, tmp_path, keys_by_k, umask):

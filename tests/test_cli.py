@@ -1,3 +1,5 @@
+import errno
+import os
 import re
 
 import pytest
@@ -65,6 +67,15 @@ class TestListAndCheck:
         assert run_cli(capsys, "list", "--length", "6", "--out", str(two),
                        "--jobs", "2", "--algorithm", "mitm")[0] == 0
         assert one.read_bytes() == two.read_bytes()
+
+    def test_list_into_directory_names_the_real_error(self, tmp_path, capsys):
+        target = tmp_path / "D"
+        target.mkdir()
+        code, _, err = run_cli(capsys, "list", "--length", "6", "--out", str(target))
+        assert code == 2
+        assert os.strerror(errno.EISDIR) in err
+        assert ".knightcycles-body-" not in err
+        assert not list(tmp_path.rglob(".knightcycles-*"))
 
     def test_check_flags_corruption(self, tmp_path, capsys):
         out_file = tmp_path / "k4.cycles"
