@@ -30,6 +30,7 @@ EXPECTED_COUNTS: dict[int, tuple[int, int]] = {
 
 FORMAT_MAGIC = "KNIGHT-CYCLES"
 FORMAT_VERSION = "v1"
+_SVG_SCALE = 40  # pixels per board cell in rendered SVG
 
 
 @dataclass(frozen=True)
@@ -317,12 +318,12 @@ def _render_ascii(cycle: CycleSeq) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _render_svg(cycle: CycleSeq, scale: int = 40) -> str:
+def _render_svg(cycle: CycleSeq) -> str:
     board = cycle.board
     w, h = board.width, board.height
     out = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{w * scale}" '
-        f'height="{h * scale}" viewBox="0 0 {w} {h}">',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{w * _SVG_SCALE}" '
+        f'height="{h * _SVG_SCALE}" viewBox="0 0 {w} {h}">',
         f'  <rect x="0" y="0" width="{w}" height="{h}" fill="white"/>',
     ]
     for r in range(h):

@@ -22,6 +22,7 @@ from .analysis import (
 )
 from .board import BoardSpec
 from .cycles import is_minimal, validate_cycle
+from .geometry import crossing_table
 from .search import ShardLostError, enumerate_cycles
 
 USAGE_ERROR = 2
@@ -170,11 +171,18 @@ def _cmd_check(args) -> int:
     try:
         with open(args.infile) as fh:
             header = read_cycle_header(fh.readline().rstrip("\n"))
+        table = (crossing_table(header.board) if header.filter_tag == "simple"
+                 else None)
         for number, cycle in enumerate(read_cycles(args.infile), start=1):
             if not is_minimal(cycle):
-                print(f"not canonical at cycle {number}: "
-                      f"{','.join(map(str, cycle.cells))}", file=sys.stderr)
-                return FAILURE
+                flaw = "canonical"
+            elif table is not None and not table.is_simple_cells(cycle.cells):
+                flaw = "simple"
+            else:
+                continue
+            print(f"not {flaw} at cycle {number}: "
+                  f"{','.join(map(str, cycle.cells))}", file=sys.stderr)
+            return FAILURE
     except (ParseError, OSError) as exc:
         print(f"{args.infile}: {exc}", file=sys.stderr)
         return FAILURE

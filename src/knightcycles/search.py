@@ -96,10 +96,11 @@ def _dfs_one_start(board: BoardSpec, k: int, s: int, emit) -> None:
     order of cycles._side_extremes.  The caller runs the canonicity core on
     every emission.
 
-    Beyond the >= s rule, a child v is cut when its path can no longer
-    - close on a neighbour of s above its second cell in the moves left (a
-      canonical sequence has cells[1] < cells[-1], so each cycle is walked
-      in one direction only);
+    The walk takes the second cells c of s one at a time, ascending.  A
+    canonical sequence has cells[1] < cells[-1], so each cycle is walked in
+    one direction only: the path may then close only on a neighbour of s
+    above c.  Beyond the >= s rule, a child v is cut when its path cannot
+    - reach one of those closing cells in the moves left;
     - touch column 0 in the moves left (a canonical placement always does);
     - give every symmetry image a start offset of at least s - 1 (see
       cycles._is_minimal_given).  The path carries its running side
@@ -119,22 +120,12 @@ def _dfs_one_start(board: BoardSpec, k: int, s: int, emit) -> None:
     cols = [0] + [(c - 1) % side for c in range(1, size + 1)]
     # Column-0 cells on rows below s - 1 are cut, so only the others count.
     dist_col0 = _distances(adj_s, range(low * side + 1, size + 1, side), size)
-    # closing[c]: distances to the neighbours of s above c, the cells that
-    # may end a path whose second cell is c.
-    closing = {c: _distances(adj_s, [n for n in adj_s[s] if n > c], size)
-               for c in adj_s[s]}
-    # A candidate second cell is judged by its own table.
-    second = [UNREACHED] * (size + 1)
-    for c, dist in closing.items():
-        second[c] = dist[c]
     visited = bytearray(size + 1)
     visited[s] = 1
     path = [s]
 
     def extend(u: int, depth: int, dist, last_row: int, last_col: int,
                top_max: int, left_min: int, left_max: int) -> None:
-        if depth == 2:  # u is the second cell: it fixes the closing cells
-            dist = closing[u]
         remaining = k - depth
         for v in adj_s[u]:
             if visited[v] or dist[v] >= remaining:
@@ -186,13 +177,17 @@ def _dfs_one_start(board: BoardSpec, k: int, s: int, emit) -> None:
                             bottom_max - bottom, right_min, right_max))
             else:
                 visited[v] = 1
-                extend(v, depth + 1, dist, row, col, top, left_lo, left)
+                extend(v, depth + 1, closing, row, col, top, left_lo, left)
                 visited[v] = 0
             path.pop()
 
     # The column-0 extremes stay (_FAR, -_FAR) until the path touches it.
     left = (0, 0) if s_col == 0 else (_FAR, -_FAR)
-    extend(s, 1, second, 0, s_col, s_col, *left)
+    for c in adj_s[s]:
+        closing = _distances(adj_s, [n for n in adj_s[s] if n > c], size)
+        first = [UNREACHED] * (size + 1)  # no other second cell passes
+        first[c] = closing[c]
+        extend(s, 1, first, 0, s_col, s_col, *left)
 
 
 def _half_paths_raw(board: BoardSpec, k: int, s: int, t: int):
@@ -202,8 +197,6 @@ def _half_paths_raw(board: BoardSpec, k: int, s: int, t: int):
     m = k // 2
     adj_s = _filtered_adjacency(board, s)
     dist_t = _distances(adj_s, (t,), board.size)
-    if dist_t[s] > m:
-        return []
     out: list[tuple[int, ...]] = []
     visited = bytearray(board.size + 1)
     visited[s] = 1

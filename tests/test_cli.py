@@ -4,6 +4,7 @@ import re
 
 import pytest
 
+from knightcycles.analysis import write_cycles
 from knightcycles.cli import main, _default_jobs
 from conftest import MINIMAL_K8_W5
 
@@ -101,6 +102,25 @@ class TestListAndCheck:
         code, _, err = run_cli(capsys, "check", "--in", str(out_file))
         assert code == 1
         assert "canonical" in err
+
+    def test_check_tests_the_simple_claim(self, tmp_path, capsys):
+        """A filter=simple listing must hold only simple cycles: a canonical
+        but self-intersecting one fails check, and a real --simple-only
+        listing still passes."""
+        crossed = (1, 10, 5, 18, 3, 16)
+        out_file = tmp_path / "k6-crossed.cycles"
+        write_cycles([crossed], out_file, filter_tag="simple")
+        code, _, err = run_cli(capsys, "check", "--in", str(out_file))
+        assert code == 1
+        assert "not simple at cycle 1: 1,10,5,18,3,16" in err
+        write_cycles([crossed], out_file, filter_tag="all")
+        assert run_cli(capsys, "check", "--in", str(out_file))[0] == 0
+        out_file = tmp_path / "k8-simple.cycles"
+        assert run_cli(capsys, "list", "--length", "8", "--simple-only",
+                       "--out", str(out_file))[0] == 0
+        code, out, _ = run_cli(capsys, "check", "--in", str(out_file))
+        assert code == 0
+        assert "filter=simple" in out
 
     def test_check_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "check", "--in", "/nonexistent.cycles")

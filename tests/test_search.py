@@ -532,6 +532,9 @@ class TestFailureModes:
                 time.sleep(60)
 
             search._dfs_one_start = slow
+            # Python installs this handler at start-up only when SIGINT is
+            # not ignored, and a background job of a shell starts ignoring it.
+            signal.signal(signal.SIGINT, signal.default_int_handler)
             search.enumerate_cycles(8, "dfs", jobs=2, sink=lambda seq: None)
         """, tmp_path)
         assert code == -signal.SIGINT
