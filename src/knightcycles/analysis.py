@@ -162,8 +162,7 @@ class CycleFileWriter:
                 f"cycles must be strictly ascending: {cells} after {self._last}")
         self._last = cells
         self.count += 1
-        self._body.write(" ".join(map(str, cells)))
-        self._body.write("\n")
+        self._body.write(" ".join(map(str, cells)) + "\n")
 
     def close(self) -> None:
         """Publish the listing.  Header and body go to a staging file beside
@@ -235,10 +234,7 @@ def read_cycle_header(line: str) -> CycleFileHeader:
     parts = line.split()
     if len(parts) != 6 or parts[0] != FORMAT_MAGIC or parts[1] != FORMAT_VERSION:
         raise ParseError(f"bad header {line!r}", line=1)
-    fields = {}
-    for part in parts[2:]:
-        key, _, value = part.partition("=")
-        fields[key] = value
+    fields = dict(part.partition("=")[::2] for part in parts[2:])
     try:
         k = int(fields["k"])
         width, _, height = fields["board"].partition("x")
@@ -249,6 +245,11 @@ def read_cycle_header(line: str) -> CycleFileHeader:
         raise ParseError(f"bad header {line!r}: {exc}", line=1) from None
     if filter_tag not in ("all", "simple"):
         raise ParseError(f"bad filter tag {filter_tag!r}", line=1)
+    # The lengths of the count table, on the one board the writer writes:
+    # check must not size its tables by whatever board a header names.
+    if k not in EXPECTED_COUNTS or board != BoardSpec.for_cycle_length(k):
+        raise ParseError(f"bad header {line!r}: want an even k within 4..16 "
+                         f"and the (k+1)x(k+1) board", line=1)
     return CycleFileHeader(k, board, count, filter_tag)
 
 

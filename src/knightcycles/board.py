@@ -62,9 +62,7 @@ def coord_of(index: int, board: BoardSpec) -> Coord:
 
 
 def is_knight_move(a: Coord, b: Coord) -> bool:
-    dr = abs(a[0] - b[0])
-    dc = abs(a[1] - b[1])
-    return (dr == 1 and dc == 2) or (dr == 2 and dc == 1)
+    return (b[0] - a[0], b[1] - a[1]) in KNIGHT_OFFSETS
 
 
 @lru_cache(maxsize=None)

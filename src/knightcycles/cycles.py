@@ -21,10 +21,10 @@ from .board import (
     BoardSpec,
     DIHEDRAL_ELEMENTS,
     Coord,
+    adjacency,
     apply_dihedral,
     coord_of,
     index_of,
-    is_knight_move,
     normalize_translation,
 )
 
@@ -77,13 +77,13 @@ def validate_cycle(cells, board: BoardSpec) -> CycleSeq:
             raise CycleValidationError(
                 f"cell {cell} repeated at position {pos}", position=pos)
         seen.add(cell)
-    coords = [coord_of(i, board) for i in cells]
+    adj = adjacency(board)
     for pos in range(k - 1):
-        if not is_knight_move(coords[pos], coords[pos + 1]):
+        if cells[pos + 1] not in adj[cells[pos]]:
             raise CycleValidationError(
                 f"step {cells[pos]}->{cells[pos + 1]} at position {pos} "
                 f"is not a knight move", position=pos)
-    if not is_knight_move(coords[-1], coords[0]):
+    if cells[0] not in adj[cells[-1]]:
         raise CycleValidationError(
             f"endpoints {cells[-1]} and {cells[0]} do not close the cycle",
             position=k - 1)

@@ -129,10 +129,18 @@ class TestCycleFiles:
 
     def test_malformed_header(self, tmp_path):
         path = tmp_path / "junk.cycles"
-        path.write_text("SOMETHING ELSE\n")
-        with pytest.raises(ParseError) as err:
-            list(read_cycles(path))
-        assert err.value.line == 1
+        for header in ("SOMETHING ELSE",
+                       # a board other than the (k+1) x (k+1) one for k
+                       "KNIGHT-CYCLES v1 k=12 board=40x40 count=0 filter=all",
+                       "KNIGHT-CYCLES v1 k=4 board=6x5 count=0 filter=simple",
+                       # lengths outside the even 4..16 of the count table
+                       "KNIGHT-CYCLES v1 k=18 board=19x19 count=0 filter=all",
+                       "KNIGHT-CYCLES v1 k=2 board=3x3 count=0 filter=all",
+                       "KNIGHT-CYCLES v1 k=5 board=6x6 count=0 filter=all"):
+            path.write_text(header + "\n")
+            with pytest.raises(ParseError) as err:
+                list(read_cycles(path))
+            assert err.value.line == 1
 
     def test_non_cycle_line_reported_with_number(self, tmp_path, keys_by_k):
         path = tmp_path / "broken.cycles"

@@ -87,12 +87,17 @@ class TestNeighbors:
     def test_center_degree_eight(self, board5):
         assert adjacency(board5)[13] == (2, 4, 6, 10, 16, 20, 22, 24)
 
-    def test_ascending_and_consistent_with_predicate(self, board6):
-        for i in range(1, board6.size + 1):
-            nbrs = adjacency(board6)[i]
-            assert list(nbrs) == sorted(nbrs)
-            for v in nbrs:
-                assert is_knight_move(coord_of(i, board6), coord_of(v, board6))
+    def test_ascending_and_consistent_with_predicate(self):
+        """Each neighbour list is ascending and holds exactly the cells a
+        knight move away, with no move wrapping across a row."""
+        for board in (BoardSpec.square(6), BoardSpec(3, 7), BoardSpec(7, 3)):
+            cells = range(1, board.size + 1)
+            for i in cells:
+                nbrs = adjacency(board)[i]
+                assert list(nbrs) == sorted(nbrs)
+                assert set(nbrs) == {
+                    v for v in cells
+                    if is_knight_move(coord_of(i, board), coord_of(v, board))}
 
     def test_degree_bounds_on_big_enough_boards(self):
         for n in range(5, 10):

@@ -122,6 +122,17 @@ class TestListAndCheck:
         assert code == 0
         assert "filter=simple" in out
 
+    def test_check_rejects_a_header_board_off_standard(self, tmp_path, capsys):
+        """A header naming any board but (k+1) x (k+1) fails on line 1,
+        before check builds a table for that board."""
+        out_file = tmp_path / "k12-big.cycles"
+        out_file.write_text(
+            "KNIGHT-CYCLES v1 k=12 board=40x40 count=0 filter=simple\n")
+        code, _, err = run_cli(capsys, "check", "--in", str(out_file))
+        assert code == 1
+        assert "line 1: bad header" in err
+        assert "(k+1)x(k+1) board" in err
+
     def test_check_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "check", "--in", "/nonexistent.cycles")
         assert code == 1

@@ -51,6 +51,11 @@ class TestValidation:
         with pytest.raises(CycleValidationError) as err:
             validate_cycle((2, 9, 18, 24), board5)
         assert err.value.position == 2
+        # 4 -> 11 adds 7 = width + 2, a (1,2) move in index terms, but it
+        # wraps from (0,3) to (2,0)
+        with pytest.raises(CycleValidationError) as err:
+            validate_cycle((4, 11, 2, 9), board5)
+        assert err.value.position == 0
 
     def test_open_endpoints(self, board5):
         # 1-8-15-4 walks fine but 4 is not a knight move from 1
