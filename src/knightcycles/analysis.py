@@ -3,8 +3,10 @@ grid rendering."""
 
 from __future__ import annotations
 
+import contextlib
 import errno
 import os
+import re
 import shutil
 import tempfile
 from dataclasses import dataclass, field
@@ -28,8 +30,6 @@ EXPECTED_COUNTS: dict[int, tuple[int, int]] = {
     16: (344680960, 36930111),
 }
 
-FORMAT_MAGIC = "KNIGHT-CYCLES"
-FORMAT_VERSION = "v1"
 _SVG_SCALE = 40  # pixels per board cell in rendered SVG
 
 
@@ -170,7 +170,6 @@ class CycleFileWriter:
         leaves any earlier listing at the path intact."""
         # Unique while the body file exists; O_EXCL refuses a stray file.
         staged = self._body.name + ".listing"
-        board = BoardSpec.for_cycle_length(self.k)
         try:
             self._body.flush()
             self._body.seek(0)
@@ -178,9 +177,7 @@ class CycleFileWriter:
             fd = os.open(staged, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
             try:
                 with open(fd, "w", newline="\n") as out:
-                    out.write(f"{FORMAT_MAGIC} {FORMAT_VERSION} k={self.k} "
-                              f"board={board.width}x{board.height} "
-                              f"count={self.count} filter={self.filter_tag}\n")
+                    out.write(_header_line(self.k, self.count, self.filter_tag) + "\n")
                     shutil.copyfileobj(self._body, out)
                 os.replace(staged, self.path)
             except BaseException:
@@ -230,51 +227,51 @@ class CycleFileHeader:
     filter_tag: str
 
 
+def _header_line(k: int, count: int, filter_tag: str) -> str:
+    """Line 1 of a listing, without its LF: the one definition of the header."""
+    side = BoardSpec.for_cycle_length(k).width
+    return f"KNIGHT-CYCLES v1 k={k} board={side}x{side} count={count} filter={filter_tag}"
+
+
+_BODY_LINE = re.compile(r"[1-9][0-9]*(?: [1-9][0-9]*)*\n")  # as the writer writes it
+
+
+def open_listing(path):
+    """Open a listing as written (ASCII, LF): a CR or stray byte stays in its line."""
+    return open(path, encoding="ascii", errors="surrogateescape", newline="\n")
+
+
 def read_cycle_header(line: str) -> CycleFileHeader:
-    parts = line.split()
-    if len(parts) != 6 or parts[0] != FORMAT_MAGIC or parts[1] != FORMAT_VERSION:
-        raise ParseError(f"bad header {line!r}", line=1)
-    fields = dict(part.partition("=")[::2] for part in parts[2:])
-    try:
-        k = int(fields["k"])
-        width, _, height = fields["board"].partition("x")
-        board = BoardSpec(int(width), int(height))
-        count = int(fields["count"])
-        filter_tag = fields["filter"]
-    except (KeyError, ValueError) as exc:
-        raise ParseError(f"bad header {line!r}: {exc}", line=1) from None
-    if filter_tag not in ("all", "simple"):
-        raise ParseError(f"bad filter tag {filter_tag!r}", line=1)
-    # The lengths of the count table, on the one board the writer writes:
-    # check must not size its tables by whatever board a header names.
-    if k not in EXPECTED_COUNTS or board != BoardSpec.for_cycle_length(k):
-        raise ParseError(f"bad header {line!r}: want an even k within 4..16 "
-                         f"and the (k+1)x(k+1) board", line=1)
-    return CycleFileHeader(k, board, count, filter_tag)
+    """Parse line 1, without its LF: only a line the writer writes passes."""
+    fields = dict(part.partition("=")[::2] for part in line.split(" "))
+    with contextlib.suppress(KeyError, ValueError):  # a field missing or not a number
+        k, count, tag = int(fields["k"]), int(fields["count"]), fields["filter"]
+        if (k in EXPECTED_COUNTS and count >= 0 and tag in ("all", "simple")
+                and line == _header_line(k, count, tag)):
+            return CycleFileHeader(k, BoardSpec.for_cycle_length(k), count, tag)
+    raise ParseError(f"bad header {line!r}: want the writer's header for an "
+                     f"even k within 4..16 and the (k+1)x(k+1) board", line=1)
 
 
 def read_cycles(path):
     """Yield each listed cycle as a validated CycleSeq.
 
-    Raises ParseError (with the line number) for a malformed header, body
-    lines that are not valid cycles of the advertised length, a body that
-    is not strictly ascending, or a count that does not match the body.
+    Only the writer's bytes are accepted.  Raises ParseError (with the line
+    number) for a header or body line the writer would not write, a cycle
+    that is not valid at the advertised length, a body that is not strictly
+    ascending, or a count that does not match the body.
     """
-    with open(path) as fh:
+    with open_listing(path) as fh:
         header_line = fh.readline()
-        if not header_line:
-            raise ParseError("empty file", line=1)
-        header = read_cycle_header(header_line.rstrip("\n"))
+        if not header_line.endswith("\n"):
+            raise ParseError(f"bad header {header_line!r}: want a final LF", line=1)
+        header = read_cycle_header(header_line[:-1])
         seen = 0
         previous: tuple[int, ...] = ()
         for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                raise ParseError("blank line in body", line=lineno)
-            try:
-                cells = tuple(map(int, line.split()))
-            except ValueError:
-                raise ParseError(f"non-integer cell in {line!r}", line=lineno) from None
+            if not _BODY_LINE.fullmatch(line):
+                raise ParseError(f"malformed line {line!r}", line=lineno)
+            cells = tuple(map(int, line.split()))
             if len(cells) != header.k:
                 raise ParseError(
                     f"expected {header.k} cells, got {len(cells)}", line=lineno)

@@ -15,6 +15,7 @@ from .analysis import (
     CycleFileWriter,
     ParseError,
     group_geometric_twins,
+    open_listing,
     read_cycle_header,
     read_cycles,
     render,
@@ -169,7 +170,7 @@ def _cmd_render(args) -> int:
 
 def _cmd_check(args) -> int:
     try:
-        with open(args.infile) as fh:
+        with open_listing(args.infile) as fh:
             header = read_cycle_header(fh.readline().rstrip("\n"))
         table = (crossing_table(header.board) if header.filter_tag == "simple"
                  else None)

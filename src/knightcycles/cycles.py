@@ -67,17 +67,17 @@ def validate_cycle(cells, board: BoardSpec) -> CycleSeq:
         raise CycleValidationError(f"cycle length must be even, got {k}")
     if k < 4:
         raise CycleValidationError(f"cycle length must be at least 4, got {k}")
+    size, adj = board.size, adjacency(board)
     seen: set[int] = set()
     for pos, cell in enumerate(cells):
-        if not (1 <= cell <= board.size):
+        if not (1 <= cell <= size):
             raise CycleValidationError(
-                f"cell {cell} at position {pos} outside board 1..{board.size}",
+                f"cell {cell} at position {pos} outside board 1..{size}",
                 position=pos)
         if cell in seen:
             raise CycleValidationError(
                 f"cell {cell} repeated at position {pos}", position=pos)
         seen.add(cell)
-    adj = adjacency(board)
     for pos in range(k - 1):
         if cells[pos + 1] not in adj[cells[pos]]:
             raise CycleValidationError(

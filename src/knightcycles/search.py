@@ -24,8 +24,8 @@ otherwise.  The engines only hand closures, with the side extremes of
 their bounding boxes, to an ``emit`` callback; ``_run_shard`` keeps the
 canonical ones, counts them and their simple subset and, when the caller
 gave a sink, streams them to a shard file in the order both engines emit
-them: ascending.  The sink receives the heap merge of those files, so the
-summary and the stream are the same for every jobs value.
+them: ascending.  The sink receives their heap merge, one start at a time,
+so the summary and the stream are the same for every jobs value.
 """
 
 from __future__ import annotations
@@ -461,9 +461,10 @@ def enumerate_cycles(k: int, algorithm: str = "dfs", *,
         else:
             results = _run_in_pool(run, shards, min(jobs, len(shards)))
         if sink is not None:
-            shard_files = [f for *_, f in results if f is not None]
-            for seq in heapq.merge(*map(_read_shard, shard_files)):
-                sink(seq)
+            for s in starts:  # all of start s sorts below start s + 1
+                files = [f for shard, *_, f in results if shard[0] == s and f]
+                for seq in heapq.merge(*map(_read_shard, files)):
+                    sink(seq)
     per_start = dict.fromkeys(starts, 0)
     simple = 0
     for shard, shard_count, shard_simple, _ in results:

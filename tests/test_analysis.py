@@ -136,8 +136,16 @@ class TestCycleFiles:
                        # lengths outside the even 4..16 of the count table
                        "KNIGHT-CYCLES v1 k=18 board=19x19 count=0 filter=all",
                        "KNIGHT-CYCLES v1 k=2 board=3x3 count=0 filter=all",
-                       "KNIGHT-CYCLES v1 k=5 board=6x6 count=0 filter=all"):
-            path.write_text(header + "\n")
+                       "KNIGHT-CYCLES v1 k=5 board=6x6 count=0 filter=all",
+                       # fields the writer never writes that way
+                       "KNIGHT-CYCLES v1 k=+4 board=5x5 count=0 filter=all",
+                       "KNIGHT-CYCLES v1 k=4 board=05x5 count=0 filter=all",
+                       "KNIGHT-CYCLES v1 k=4  board=5x5 count=0 filter=all",
+                       "KNIGHT-CYCLES v1 board=5x5 k=4 count=0 filter=all",
+                       "KNIGHT-CYCLES v1 k=4 board=5x5 count=00 filter=all",
+                       "KNIGHT-CYCLES v1 k=4 board=5x5 count=-1 filter=all",
+                       "KNIGHT-CYCLES v1 k=4 board=5x5 count=0 filter=all\r"):
+            path.write_bytes(header.encode() + b"\n")
             with pytest.raises(ParseError) as err:
                 list(read_cycles(path))
             assert err.value.line == 1
@@ -146,12 +154,38 @@ class TestCycleFiles:
         path = tmp_path / "broken.cycles"
         write_cycles(keys_by_k(4), path)
         lines = path.read_text().splitlines()
-        for bad in ("1 2 3 4", "1 8 x 12"):
+        assert lines[2] == "2 9 18 11"
+        for bad in ("1 2 3 4", "1 8 x 12",
+                    # 2 9 18 11 in forms the writer never writes
+                    "2 9 18 11 ", "2 9  18 11", "2\t9 18 11", "+2 9 18 11",
+                    "02 9 18 11", "2 9 1_8 11", "2 9 18 11\r",
+                    # Arabic-Indic digits
+                    "\u0662 \u0669 \u0661\u0668 \u0661\u0661"):
             lines[2] = bad
-            path.write_text("\n".join(lines) + "\n")
+            path.write_bytes(("\n".join(lines) + "\n").encode())
             with pytest.raises(ParseError) as err:
                 list(read_cycles(path))
             assert err.value.line == 3
+
+    def test_only_the_writers_bytes_are_read(self, tmp_path, keys_by_k):
+        """Every one-place edit of the k=4 listing, a byte replaced by or an
+        insertion of one of these near misses, is rejected with ParseError
+        or leaves the bytes the writer wrote."""
+        path = tmp_path / "k4.cycles"
+        write_cycles(keys_by_k(4), path)
+        original = path.read_bytes()
+        edits = (b" ", b"  ", b"\r", b"\t", b"0", b"+", b"_", b"\n", b"",
+                 b"\xff", "\u0662".encode(), b"1", b"9")
+        for at in range(len(original) + 1):
+            for edit in edits:
+                for data in (original[:at] + edit + original[at:],
+                             original[:at] + edit + original[at + 1:]):
+                    path.write_bytes(data)
+                    try:
+                        list(read_cycles(path))
+                    except ParseError:
+                        continue
+                    assert data == original
 
     def test_out_of_range_index(self, tmp_path, keys_by_k):
         path = tmp_path / "range.cycles"

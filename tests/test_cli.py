@@ -133,6 +133,16 @@ class TestListAndCheck:
         assert "line 1: bad header" in err
         assert "(k+1)x(k+1) board" in err
 
+    def test_check_names_an_undecodable_byte(self, tmp_path, capsys):
+        """A byte outside ASCII is a malformed line: exit 1 with the file
+        and line, not a decode error reported as a usage error."""
+        out_file = tmp_path / "k4.cycles"
+        write_cycles([(1, 8, 19, 12), (2, 9, 18, 11)], out_file)
+        out_file.write_bytes(out_file.read_bytes().replace(b"8 19", b"8 \xff19"))
+        code, _, err = run_cli(capsys, "check", "--in", str(out_file))
+        assert code == 1
+        assert err.startswith(f"{out_file}: line 2: malformed line")
+
     def test_check_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "check", "--in", "/nonexistent.cycles")
         assert code == 1

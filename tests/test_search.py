@@ -541,6 +541,23 @@ class TestFailureModes:
         assert "KeyboardInterrupt" in err
         assert os.listdir(tmp_path) == []
 
+    def test_merge_fits_a_low_open_file_limit(self, tmp_path):
+        """The k=10 mitm listing merges 115 shard files; with at most 64
+        open files it still reaches the sink whole, because the merge opens
+        one start cell's files at a time."""
+        code, out, err = _run_child("""
+            import resource, sys, tempfile
+            from knightcycles import search
+
+            tempfile.tempdir = sys.argv[1]
+            hard = resource.getrlimit(resource.RLIMIT_NOFILE)[1]
+            resource.setrlimit(resource.RLIMIT_NOFILE, (64, hard))
+            out = []
+            search.enumerate_cycles(10, "mitm", sink=out.append)
+            print(len(out), out == sorted(set(out)))
+        """, tmp_path)
+        assert (code, out) == (0, "12000 True\n"), err
+
     def test_out_of_order_shard_stops_a_listing(self, tmp_path, monkeypatch):
         """An engine that emits out of order fails a run with a sink through
         the shard writer's ordering check and leaves no temp files; a count
