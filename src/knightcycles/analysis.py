@@ -140,6 +140,8 @@ class CycleFileWriter:
     """
 
     def __init__(self, path, k: int, filter_tag: str = "all"):
+        if k not in EXPECTED_COUNTS:  # the reader's rule: fail before enumerating
+            raise ValueError(f"no listing for length k={k}: want an even k within 4..16")
         if filter_tag not in ("all", "simple"):
             raise ValueError(f"filter tag must be 'all' or 'simple', got {filter_tag!r}")
         self.path = os.fspath(path)
@@ -308,7 +310,7 @@ def render(cycle: CycleSeq, format: str = "svg") -> str:
 def _render_ascii(cycle: CycleSeq) -> str:
     board = cycle.board
     width = len(str(len(cycle)))
-    grid = [["." for _ in range(board.width)] for _ in range(board.height)]
+    grid = [["." for _ in range(board.width)] for _ in range(board.width)]
     for pos, cell in enumerate(cycle.cells, start=1):
         r, c = coord_of(cell, board)
         grid[r][c] = str(pos)
@@ -318,14 +320,14 @@ def _render_ascii(cycle: CycleSeq) -> str:
 
 def _render_svg(cycle: CycleSeq) -> str:
     board = cycle.board
-    w, h = board.width, board.height
+    side = board.width
     out = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{w * _SVG_SCALE}" '
-        f'height="{h * _SVG_SCALE}" viewBox="0 0 {w} {h}">',
-        f'  <rect x="0" y="0" width="{w}" height="{h}" fill="white"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{side * _SVG_SCALE}" '
+        f'height="{side * _SVG_SCALE}" viewBox="0 0 {side} {side}">',
+        f'  <rect x="0" y="0" width="{side}" height="{side}" fill="white"/>',
     ]
-    for r in range(h):
-        for c in range(w):
+    for r in range(side):
+        for c in range(side):
             out.append(f'  <rect x="{c}" y="{r}" width="1" height="1" '
                        f'fill="none" stroke="#999" stroke-width="0.02"/>')
     points = []

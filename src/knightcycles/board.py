@@ -21,36 +21,35 @@ KNIGHT_OFFSETS = (
 
 @dataclass(frozen=True)
 class BoardSpec:
-    """A width x height board whose cells are numbered 1..width*height,
-    row by row from the top-left corner."""
+    """A square board of side ``width`` whose cells are numbered
+    1..width*width, row by row from the top-left corner."""
 
     width: int
-    height: int
 
     def __post_init__(self) -> None:
-        if self.width < 1 or self.height < 1:
-            raise ValueError(f"board must be at least 1x1, got {self.width}x{self.height}")
+        if self.width < 1:
+            raise ValueError(f"board must be at least 1x1, got {self.width}x{self.width}")
 
     @property
     def size(self) -> int:
-        return self.width * self.height
+        return self.width * self.width
 
     @classmethod
     def square(cls, side: int) -> "BoardSpec":
-        return cls(side, side)
+        return cls(side)
 
     @classmethod
     def for_cycle_length(cls, k: int) -> "BoardSpec":
         """The (k+1) x (k+1) board, large enough for every closed path of
         length k (a closed walk of k knight moves spans at most k+1 rows)."""
-        return cls(k + 1, k + 1)
+        return cls(k + 1)
 
 
 def index_of(coord: Coord, board: BoardSpec) -> int:
     """Cell number of (row, col): row*width + col + 1."""
     r, c = coord
-    if not (0 <= r < board.height and 0 <= c < board.width):
-        raise ValueError(f"coordinate {coord} is outside the {board.width}x{board.height} board")
+    if not (0 <= r < board.width and 0 <= c < board.width):
+        raise ValueError(f"coordinate {coord} is outside the {board.width}x{board.width} board")
     return r * board.width + c + 1
 
 
@@ -71,12 +70,12 @@ def adjacency(board: BoardSpec) -> tuple[tuple[int, ...], ...]:
     (slot 0 unused).  Neighbor lists are ascending, which makes every search
     that walks them deterministic.  Computed once per board and reused."""
     adj: list[tuple[int, ...]] = [()] * (board.size + 1)
-    for r in range(board.height):
+    for r in range(board.width):
         for c in range(board.width):
             nbrs = []
             for dr, dc in KNIGHT_OFFSETS:
                 rr, cc = r + dr, c + dc
-                if 0 <= rr < board.height and 0 <= cc < board.width:
+                if 0 <= rr < board.width and 0 <= cc < board.width:
                     nbrs.append(rr * board.width + cc + 1)
             adj[r * board.width + c + 1] = tuple(sorted(nbrs))
     return tuple(adj)

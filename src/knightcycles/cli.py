@@ -79,7 +79,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("render", help="draw one cycle as SVG or ASCII")
     p.add_argument("--seq", required=True, metavar="C1,C2,...",
                    help="comma-separated cell numbers")
-    p.add_argument("--width", type=int, required=True, metavar="W")
+    p.add_argument("--width", type=int, required=True, metavar="W",
+                   help="side of the square board the cells are numbered on")
     p.add_argument("--format", choices=("svg", "ascii"), default="svg")
     p.add_argument("--out", metavar="FILE")
 

@@ -134,14 +134,14 @@ def canonical_key(cycle: CycleSeq) -> CycleSeq:
 
 
 def is_minimal(cycle: CycleSeq) -> bool:
-    """True iff the cycle's own sequence is the canonical one for its class
-    (placement-wise: the board width does not affect the answer)."""
-    width, height = cycle.board.width, cycle.board.height
-    cells = cycle.cells
-    if width < height:  # renumber onto the height x height board
-        cells = tuple((i - 1) // width * height + (i - 1) % width + 1
-                      for i in cells)
-    return _is_minimal_square(cells, max(width, height))
+    """True iff the cycle's own sequence is the canonical one for its class,
+    on any board it fits: the reversal and start checks, then the core on
+    the side extremes read off the cells.  Returns False for a placement
+    that is not translation-normalized."""
+    cells, side = cycle.cells, cycle.board.width
+    if cells[1] > cells[-1] or cells[0] > side or min(cells) != cells[0]:
+        return False
+    return _is_minimal_given(cells, side, _side_extremes(cells, side))
 
 
 def canonical_cell_set(cycle: CycleSeq) -> tuple[int, ...]:
@@ -199,24 +199,13 @@ def _side_extremes(cells, side: int) -> tuple[int, ...]:
             by_col[bisect_right(by_col, right)] - right - 1, right_end - right)
 
 
-def _is_minimal_square(cells, side: int) -> bool:
-    """True iff ``cells`` is the canonical sequence of its class, for a cycle
-    on a square board of the given side: the reversal and start checks, then
-    the core on the side extremes read off the cells.  Returns False for a
-    placement that is not translation-normalized.
-    """
-    if cells[1] > cells[-1] or cells[0] > side or min(cells) != cells[0]:
-        return False
-    return _is_minimal_given(cells, side, _side_extremes(cells, side))
-
-
 def _is_minimal_given(cells, side: int, extremes) -> bool:
-    """The canonicity core: True iff ``cells`` is the canonical sequence of
-    its class, given its side extremes in the order of _side_extremes.  The
-    caller has checked that cells[0] is the smallest cell, on row 0, and that
-    cells[1] < cells[-1]; both engines guarantee that by construction and
-    hand over the extremes their own bounding box already holds, so only
-    is_minimal reads them off the cells.
+    """The canonicity core: True iff ``cells`` on the side x side board is
+    the canonical sequence of its class, given its side extremes in the order
+    of _side_extremes.  The caller has checked that cells[0] is the smallest
+    cell, on row 0, and that cells[1] < cells[-1]; both engines guarantee
+    that by construction and hand over the extremes their own bounding box
+    already holds, so only is_minimal reads them off the cells.
 
     Each of the 8 symmetry images of the placement, translation-normalized,
     starts at an extreme cell of one side of the bounding box [0, R] x [0, C]:

@@ -220,6 +220,10 @@ class TestCycleFiles:
     def test_empty_listing_needs_length(self, tmp_path):
         with pytest.raises(ValueError, match="length"):
             write_cycles([], tmp_path / "empty.cycles")
+        for k in (2, 3, 18):  # lengths the reader refuses: nothing is written
+            with pytest.raises(ValueError, match="length"):
+                write_cycles([], tmp_path / "empty.cycles", k=k)
+            assert list(tmp_path.iterdir()) == []
         count = write_cycles([], tmp_path / "empty.cycles", k=6)
         assert count == 0
         assert list(read_cycles(tmp_path / "empty.cycles")) == []
@@ -291,7 +295,8 @@ class TestRender:
     def test_svg_polyline_closed(self, board5):
         cycle = validate_cycle(MINIMAL_K8_W5, board5)
         svg = render(cycle, "svg")
-        assert svg.startswith("<svg ")
+        assert svg.startswith('<svg xmlns="http://www.w3.org/2000/svg" '
+                              'width="200" height="200" viewBox="0 0 5 5">\n')
         (points,) = [line for line in svg.splitlines() if "polyline" in line]
         coords = points.split('points="')[1].split('"')[0].split()
         assert len(coords) == 9

@@ -36,15 +36,17 @@ class TestIndexing:
             with pytest.raises(ValueError):
                 coord_of(bad, board5)
 
-    @pytest.mark.parametrize("w,h", [(5, 5), (6, 6), (3, 7), (9, 9)])
-    def test_round_trip_every_cell(self, w, h):
-        board = BoardSpec(w, h)
+    @pytest.mark.parametrize("n", [3, 5, 6, 9], ids=lambda n: f"{n}-{n}")
+    def test_round_trip_every_cell(self, n):
+        board = BoardSpec.square(n)
         for i in range(1, board.size + 1):
             assert index_of(coord_of(i, board), board) == i
 
     def test_degenerate_board_rejected(self):
         with pytest.raises(ValueError):
-            BoardSpec(0, 4)
+            BoardSpec.square(0)
+        with pytest.raises(TypeError):  # square boards only
+            BoardSpec(5, 7)
 
 
 class TestKnightMoves:
@@ -90,7 +92,7 @@ class TestNeighbors:
     def test_ascending_and_consistent_with_predicate(self):
         """Each neighbour list is ascending and holds exactly the cells a
         knight move away, with no move wrapping across a row."""
-        for board in (BoardSpec.square(6), BoardSpec(3, 7), BoardSpec(7, 3)):
+        for board in (BoardSpec.square(6), BoardSpec.square(3), BoardSpec.square(7)):
             cells = range(1, board.size + 1)
             for i in cells:
                 nbrs = adjacency(board)[i]

@@ -5,6 +5,7 @@ import re
 import pytest
 
 from knightcycles.analysis import write_cycles
+from knightcycles import cli
 from knightcycles.cli import main, _default_jobs
 from conftest import MINIMAL_K8_W5
 
@@ -77,6 +78,18 @@ class TestListAndCheck:
         assert os.strerror(errno.EISDIR) in err
         assert ".knightcycles-body-" not in err
         assert not list(tmp_path.rglob(".knightcycles-*"))
+
+    def test_list_refuses_a_length_the_reader_refuses(self, tmp_path, capsys,
+                                                       monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("enumerated a length with no listing format")
+
+        monkeypatch.setattr(cli, "enumerate_cycles", never)
+        out_file = tmp_path / "k18.cycles"
+        code, _, err = run_cli(capsys, "list", "--length", "18", "--out", str(out_file))
+        assert code == 2
+        assert "k=18" in err
+        assert list(tmp_path.iterdir()) == []
 
     def test_check_flags_corruption(self, tmp_path, capsys):
         out_file = tmp_path / "k4.cycles"

@@ -7,7 +7,6 @@ from knightcycles.cycles import (
     CycleSeq,
     CycleValidationError,
     _canonical_coords,
-    _is_minimal_square,
     canonical_cell_set,
     canonical_key,
     canonicalize,
@@ -145,8 +144,8 @@ class TestIsMinimal:
     def test_core_matches_oracle_on_every_reencoding(self, k, keys_by_k):
         """Every re-encoding of every class (8 symmetries x k starts x 2
         directions), on the standard board and shifted by one row or one
-        column on a one-cell-larger board: the canonicity core accepts
-        exactly the oracle's canonical sequence (the same for every
+        column on a one-cell-larger board: is_minimal accepts exactly the
+        oracle's canonical sequence (the same for every
         re-encoding, so computed once per class), once per class."""
         standard = BoardSpec.for_cycle_length(k)
         larger = BoardSpec.square(k + 2)
@@ -157,7 +156,6 @@ class TestIsMinimal:
             coords = [coord_of(i, standard) for i in key]
             oracle_coords = _canonical_coords(coords)
             for board, (dr, dc) in placements:
-                side = board.width
                 oracle = tuple(index_of(p, board) for p in oracle_coords)
                 accepted = set()
                 fixed = 0
@@ -168,7 +166,7 @@ class TestIsMinimal:
                     for start in range(k):
                         rotated = idx[start:] + idx[:start]
                         for seq in (rotated, rotated[:1] + rotated[1:][::-1]):
-                            ok = _is_minimal_square(seq, side)
+                            ok = is_minimal(CycleSeq(seq, board))
                             assert ok == (seq == oracle), (seq, oracle)
                             if ok:
                                 accepted.add(seq)
@@ -188,9 +186,9 @@ class TestIsMinimal:
     def test_core_matches_oracle_on_random_reencodings(self, keys_by_k, data):
         """A random k=10 class on a random square board up to 3 cells larger
         than the standard one, in every symmetry, start and direction, both
-        in the board's corner and translated by a random offset: the
-        canonicity core accepts exactly the oracle's canonical sequence,
-        which only the corner placement holds; a random one of those
+        in the board's corner and translated by a random offset: is_minimal
+        accepts exactly the oracle's canonical sequence, which only the
+        corner placement holds; a random one of those
         re-encodings has the class's canonical form."""
         k = 10
         keys = keys_by_k(k)
@@ -214,49 +212,13 @@ class TestIsMinimal:
                     rotated = pts[start:] + pts[:start]
                     for moved in (rotated, rotated[:1] + rotated[:0:-1]):
                         seq = tuple(index_of(p, board) for p in moved)
-                        ok = _is_minimal_square(seq, side)
+                        ok = is_minimal(CycleSeq(seq, board))
                         assert ok == (seq == oracle), (seq, oracle)
                         accepted += ok
                         reencodings.append(moved)
             assert (accepted > 0) == ((dr, dc) == (0, 0))
         moved = data.draw(st.sampled_from(reencodings))
         assert _canonical_coords(moved) == canonical
-
-    @settings(derandomize=True, database=None, max_examples=100,
-              deadline=None)
-    @given(data=st.data())
-    def test_rectangular_boards_match_the_oracle(self, keys_by_k, data):
-        """A random k=10 class on a random W x H board with W != H, in every
-        symmetry, start and direction, both in the board's corner and
-        translated by a random offset: is_minimal accepts exactly the
-        oracle's canonical sequence, which only the corner placement holds."""
-        k = 10
-        keys = keys_by_k(k)
-        standard = BoardSpec.for_cycle_length(k)
-        coords = [coord_of(i, standard)
-                  for i in keys[data.draw(st.integers(0, len(keys) - 1))]]
-        span = max(max(p) for p in coords)
-        width = data.draw(st.integers(span + 1, span + 4))
-        height = data.draw(st.integers(span + 1, span + 4)
-                           .filter(lambda h: h != width))
-        board = BoardSpec(width, height)
-        room = min(width, height) - 1 - span
-        shift = (data.draw(st.integers(0, room)),
-                 data.draw(st.integers(0, room)))
-        oracle = tuple(index_of(p, board) for p in _canonical_coords(coords))
-        for dr, dc in {(0, 0), shift}:
-            accepted = 0
-            for elem in DIHEDRAL_ELEMENTS:
-                pts = [(r + dr, c + dc) for r, c in
-                       normalize_translation(apply_dihedral(coords, elem))]
-                for start in range(k):
-                    rotated = pts[start:] + pts[:start]
-                    for moved in (rotated, rotated[:1] + rotated[:0:-1]):
-                        seq = tuple(index_of(p, board) for p in moved)
-                        ok = is_minimal(CycleSeq(seq, board))
-                        assert ok == (seq == oracle), (seq, oracle)
-                        accepted += ok
-            assert (accepted > 0) == ((dr, dc) == (0, 0))
 
 
 class TestEquivalence:

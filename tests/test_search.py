@@ -13,8 +13,8 @@ from knightcycles.cycles import (
     CycleSeq,
     _canonical_coords,
     _is_minimal_given,
-    _is_minimal_square,
     _side_extremes,
+    is_minimal,
     validate_cycle,
 )
 from knightcycles import cycles, search
@@ -205,12 +205,12 @@ class TestJoinPrefilter:
                         if (i != j and a_mask & b_mask == base
                                 and (a_mask | b_mask) & col0):
                             seq = a + b[-2:0:-1]
-                            if _is_minimal_square(seq, side):
+                            if is_minimal(CycleSeq(seq, board)):
                                 brute.add(seq)
                 emitted = _pair_emissions(board, k, s, t)
                 assert len(set(emitted)) == len(emitted)
                 assert {seq for seq in emitted
-                        if _is_minimal_square(seq, side)} == brute
+                        if is_minimal(CycleSeq(seq, board))} == brute
                 emitted_total += len(emitted)
         # Closures handed to the canonicity test (a count, not a speed):
         # 3159 at k=8 and 89268 at k=10 without the start test.
@@ -238,16 +238,15 @@ class TestDfsPrefilter:
     @pytest.mark.parametrize("k, candidates", [(6, 52), (8, 1218), (10, 32641)])
     def test_same_survivors_as_the_unpruned_recursion(self, k, candidates):
         board = BoardSpec.for_cycle_length(k)
-        side = board.width
         emitted_total = 0
         for s in range(1, k // 2 + 2):
             emitted = _dfs_emissions(board, k, s)
             assert len(set(emitted)) == len(emitted)
             assert all(seq[1] < seq[-1] for seq in emitted)
             reference = {seq for seq in _unpruned_dfs(board, k, s)
-                         if _is_minimal_square(seq, side)}
+                         if is_minimal(CycleSeq(seq, board))}
             assert {seq for seq in emitted
-                    if _is_minimal_square(seq, side)} == reference
+                    if is_minimal(CycleSeq(seq, board))} == reference
             emitted_total += len(emitted)
         # Closures handed to the canonicity test (a count, not a speed):
         # 254 at k=6, 6318 at k=8 and 178536 at k=10 with the unpruned cuts.
@@ -299,7 +298,7 @@ class TestEngineExtremes:
         for seq, extremes in emitted:
             assert extremes == _side_extremes(seq, side), seq
             assert (_is_minimal_given(seq, side, extremes)
-                    == _is_minimal_square(seq, side)), seq
+                    == is_minimal(CycleSeq(seq, board))), seq
 
     @pytest.mark.parametrize("algorithm", ["dfs", "mitm"])
     def test_side_extremes_only_for_half_paths(self, algorithm, monkeypatch):
