@@ -24,8 +24,10 @@ otherwise.  The engines only hand closures, with the side extremes of
 their bounding boxes, to an ``emit`` callback; ``_run_shard`` keeps the
 canonical ones, counts them and their simple subset and, when the caller
 gave a sink, streams them to a shard file in the order both engines emit
-them: ascending.  The sink receives their heap merge, one start at a time,
-so the summary and the stream are the same for every jobs value.
+them: ascending, k unsigned 16-bit cells per record.  As soon as every shard
+of the lowest undrained start is in, the sink receives the heap merge of that
+start's files, which are then deleted, while the pool runs on; so the
+summary and the stream are the same for every jobs value.
 """
 
 from __future__ import annotations
@@ -34,8 +36,10 @@ import contextlib
 import heapq
 import os
 import signal
+import struct
 import tempfile
 import time
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache, partial
 
@@ -351,6 +355,7 @@ def _run_shard(algorithm: str, k: int, simple_filter: bool,
     side = board.width
     table = crossing_table(board) if simple_filter else None
     name = f"{algorithm}-{'-'.join(map(str, shard))}"
+    record = struct.Struct(f"{k}H")
     out = None
     last: tuple[int, ...] = ()
     count = 0
@@ -374,8 +379,8 @@ def _run_shard(algorithm: str, k: int, simple_filter: bool,
                 f"shard {name} emitted {seq} after {last}, out of order")
         last = seq
         if out is None:
-            out = open(os.path.join(shard_dir, f"{name}.shard"), "w")
-        out.write(" ".join(map(str, seq)) + "\n")
+            out = open(os.path.join(shard_dir, f"{name}.shard"), "wb")
+        out.write(record.pack(*seq))
 
     try:
         if algorithm == "dfs":
@@ -388,10 +393,11 @@ def _run_shard(algorithm: str, k: int, simple_filter: bool,
     return shard, count, simple, None if out is None else out.name
 
 
-def _run_in_pool(run, shards, workers: int) -> list:
-    """run(shard) for every shard in a pool of worker processes.  A worker
-    that dies (killed, out of memory) breaks the pool; that surfaces as
-    ShardLostError naming the shards whose results never came back."""
+def _run_in_pool(run, shards, workers: int):
+    """Yield run(shard) for every shard, as each completes, from a pool of
+    worker processes.  A worker that dies (killed, out of memory) breaks the
+    pool; that surfaces as ShardLostError naming the shards whose results
+    never came back.  Closing the generator shuts the pool down."""
     # Imported on first use: it loads logging and multiprocessing, which the
     # package import and jobs=1 runs do without.
     from concurrent.futures import ProcessPoolExecutor, as_completed
@@ -401,26 +407,29 @@ def _run_in_pool(run, shards, workers: int) -> list:
     # instead of raising KeyboardInterrupt and running on into queued shards.
     with ProcessPoolExecutor(max_workers=workers, initializer=signal.signal,
                              initargs=(signal.SIGINT, signal.SIG_DFL)) as pool:
-        futures = {pool.submit(run, shard): shard for shard in shards}
-        results = []
+        futures = [pool.submit(run, shard) for shard in shards]
+        done = set()
         try:
             for future in as_completed(futures):
                 try:
-                    results.append(future.result())
+                    result = future.result()
                 except BrokenProcessPool as exc:
-                    done = {result[0] for result in results}
-                    lost = sorted(set(shards) - done)
-                    raise ShardLostError(lost) from exc
+                    raise ShardLostError(sorted(set(shards) - done)) from exc
+                done.add(result[0])
+                yield result
         finally:
             # After a failure, shards that have not started never will.
             pool.shutdown(cancel_futures=True)
-    return results
 
 
-def _read_shard(path: str):
-    with open(path) as fh:
-        for line in fh:
-            yield tuple(map(int, line.split()))
+def _read_shard(path: str, k: int):
+    """The records of a shard file, read a fixed number at a time."""
+    record = struct.Struct(f"{k}H")
+    with open(path, "rb") as fh:
+        while chunk := fh.read(4096 * record.size):
+            if len(chunk) % record.size:
+                raise RuntimeError(f"shard file {path} ends mid-record")
+            yield from record.iter_unpack(chunk)
 
 
 def enumerate_cycles(k: int, algorithm: str = "dfs", *,
@@ -432,8 +441,9 @@ def enumerate_cycles(k: int, algorithm: str = "dfs", *,
     inline (jobs=1) or in a pool of ``jobs`` processes.  A count-only call
     holds no sequences and writes no files.  With a sink, every shard streams
     its kept sequences, in order, to a file in a temporary directory, and the
-    sink receives their merge: canonical sequences in strictly ascending
-    order, identical for every jobs value.
+    sink receives their merge, one start at a time as soon as its shards are
+    in: canonical sequences in strictly ascending order, identical for every
+    jobs value.
     """
     if k % 2 != 0 or k < 4:
         raise ValueError(f"cycle length must be an even number >= 4, got {k}")
@@ -452,24 +462,32 @@ def enumerate_cycles(k: int, algorithm: str = "dfs", *,
         shards = [(s,) for s in starts]
     else:
         shards = [(s, t) for s in starts for t in _mitm_pairs_for_start(board, k, s)]
+    per_start = dict.fromkeys(starts, 0)
+    simple = 0
+    files = {s: [] for s in starts}  # shard files of the undrained starts
+    left = Counter(shard[0] for shard in shards)  # their shards still out
+    low = starts[0]
     with (tempfile.TemporaryDirectory(prefix="knightcycles-") if sink is not None
           else contextlib.nullcontext()) as shard_dir:
         run = partial(_run_shard, algorithm, k, simple_filter, emit_only_simple,
                       shard_dir)
-        if jobs == 1:
-            results = [run(shard) for shard in shards]
-        else:
-            results = _run_in_pool(run, shards, min(jobs, len(shards)))
-        if sink is not None:
-            for s in starts:  # all of start s sorts below start s + 1
-                files = [f for shard, *_, f in results if shard[0] == s and f]
-                for seq in heapq.merge(*map(_read_shard, files)):
-                    sink(seq)
-    per_start = dict.fromkeys(starts, 0)
-    simple = 0
-    for shard, shard_count, shard_simple, _ in results:
-        per_start[shard[0]] += shard_count
-        simple += shard_simple
+        with contextlib.closing(
+                (run(shard) for shard in shards) if jobs == 1
+                else _run_in_pool(run, shards, min(jobs, len(shards)))) as results:
+            for (s, *_), shard_count, shard_simple, path in results:
+                per_start[s] += shard_count
+                simple += shard_simple
+                left[s] -= 1
+                if path is not None:
+                    files[s].append(path)
+                # All of start s sorts below start s + 1, so starts drain in
+                # ascending order, each once all of its shards are in.
+                while low in files and not left[low]:
+                    for seq in heapq.merge(*(_read_shard(f, k) for f in files[low])):
+                        sink(seq)
+                    for f in files.pop(low):
+                        os.unlink(f)
+                    low += 1
     return EnumerationSummary(
         k=k, algorithm=algorithm, total=sum(per_start.values()),
         simple=simple if simple_filter else None,

@@ -1,3 +1,4 @@
+import multiprocessing
 import os
 import signal
 import subprocess
@@ -457,6 +458,92 @@ class TestParallelDriver:
         assert all(is_simple(CycleSeq(key, board)) for key in listing)
 
 
+class TestStreaming:
+    """Each start cell reaches the sink as soon as all of its shards are in,
+    while later shards still run, and its shard files go once drained."""
+
+    def test_sink_is_fed_while_the_pool_runs(self, tmp_path):
+        """The last start's shard waits for a file that only the sink
+        creates, so the run completes only if the sink is fed before every
+        shard is done."""
+        code, out, err = _run_child("""
+            import os, sys, tempfile, time
+            from knightcycles import search
+
+            tempfile.tempdir = sys.argv[1]
+            flag = os.path.join(sys.argv[1], "sink-called")
+            engine = search._dfs_one_start
+
+            def waiting(board, k, s, emit):
+                deadline = time.monotonic() + 20
+                while s == 5 and not os.path.exists(flag):
+                    if time.monotonic() > deadline:
+                        raise RuntimeError("no sink call while start 5 ran")
+                    time.sleep(0.01)
+                engine(board, k, s, emit)
+
+            search._dfs_one_start = waiting
+            out = []
+
+            def sink(seq):
+                if not out:
+                    open(flag, "w").close()
+                out.append(seq)
+
+            search.enumerate_cycles(8, "dfs", jobs=2, sink=sink)
+            print(len(out), out == sorted(set(out)))
+        """, tmp_path)
+        assert (code, out) == (0, "480 True\n"), err
+
+    def test_jobs_1_feeds_a_start_before_running_the_next(self, monkeypatch):
+        events: list[tuple] = []
+        run_shard = search._run_shard
+
+        def recording(*args):
+            events.append(("shard", args[-1]))
+            return run_shard(*args)
+
+        monkeypatch.setattr(search, "_run_shard", recording)
+        summary = enumerate_cycles(
+            8, "dfs", sink=lambda seq: events.append(("seq", seq[0])))
+        second = events.index(("shard", (2,)))
+        assert events[:second].count(("seq", 1)) == summary.per_start[1] > 0
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_drained_shard_files_are_deleted(self, jobs, tmp_path, monkeypatch):
+        """When start s + 1 reaches the sink no shard file of start s is left,
+        so a listing holds one start's shard files on disk, not all of them."""
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        seen: list[int] = []
+
+        def sink(seq):
+            if seen and seq[0] == seen[-1]:
+                return
+            if seen:
+                assert not list(tmp_path.glob(f"*/mitm-{seen[-1]}-*.shard"))
+            assert list(tmp_path.glob(f"*/mitm-{seq[0]}-*.shard"))
+            seen.append(seq[0])
+
+        enumerate_cycles(10, "mitm", jobs=jobs, sink=sink)
+        assert seen == [1, 2, 3, 4]
+
+    def test_sink_error_mid_pool_stops_the_workers(self, tmp_path, monkeypatch):
+        """A sink that fails on start 1 while later shards still run ends the
+        run with its error, no worker left and no shard directory."""
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+
+        def sink(_):
+            raise RuntimeError("sink failed")
+
+        with pytest.raises(RuntimeError, match="sink failed") as failure:
+            enumerate_cycles(10, "mitm", jobs=2, sink=sink)
+        # The traceback keeps the driver's frame alive, so garbage collection
+        # cannot stand in for shutting the pool down.
+        assert failure.tb is not None
+        assert list(tmp_path.iterdir()) == []
+        assert multiprocessing.active_children() == []
+
+
 class TestFailureModes:
     @pytest.mark.parametrize("jobs", [1, 2])
     @pytest.mark.parametrize("algorithm", ["dfs", "mitm"])
@@ -576,6 +663,18 @@ class TestFailureModes:
         with pytest.raises(RuntimeError, match="shard dfs-1 .* out of order"):
             enumerate_cycles(8, "dfs", jobs=1, sink=lambda seq: None)
         assert list(tmp_path.iterdir()) == []
+
+    def test_a_shard_file_cut_mid_record_raises(self, tmp_path):
+        """A shard file cut mid-record raises from the reader, after only
+        whole, correct records, instead of yielding a short one."""
+        *_, path = search._run_shard("dfs", 10, False, False, str(tmp_path), (2,))
+        records = list(search._read_shard(path, 10))
+        assert len(records) == 7242
+        os.truncate(path, os.path.getsize(path) - 3)
+        read: list[tuple[int, ...]] = []
+        with pytest.raises(RuntimeError, match="ends mid-record"):
+            read.extend(search._read_shard(path, 10))
+        assert read == records[:len(read)]
 
     @pytest.mark.parametrize("algorithm", ["dfs", "mitm"])
     def test_sink_errors_propagate(self, algorithm):
