@@ -8,6 +8,7 @@ KNIGHT_CYCLES_JOBS sets the default worker count; --jobs wins.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 
@@ -136,8 +137,8 @@ def _cmd_twins(args) -> int:
     enumerate_cycles(args.length, "dfs", jobs=args.jobs,
                      sink=collected.append)
     groups = group_geometric_twins(collected)
-    out = open(args.out, "w") if args.out else sys.stdout
-    try:
+    with (open(args.out, "w") if args.out
+          else contextlib.nullcontext(sys.stdout)) as out:
         for group in groups:
             out.write("cells " + " ".join(map(str, group.key)) + "\n")
             for member in group.members:
@@ -145,9 +146,6 @@ def _cmd_twins(args) -> int:
             out.write("\n")
         out.write(f"{len(groups)} twin groups among {len(collected)} cycles "
                   f"of length {args.length}\n")
-    finally:
-        if args.out:
-            out.close()
     return 0
 
 

@@ -24,10 +24,11 @@ otherwise.  The engines only hand closures, with the side extremes of
 their bounding boxes, to an ``emit`` callback; ``_run_shard`` keeps the
 canonical ones, counts them and their simple subset and, when the caller
 gave a sink, streams them to a shard file in the order both engines emit
-them: ascending, k unsigned 16-bit cells per record.  As soon as every shard
-of the lowest undrained start is in, the sink receives the heap merge of that
-start's files, which are then deleted, while the pool runs on; so the
-summary and the stream are the same for every jobs value.
+them: ascending, k unsigned 16-bit cells per record.  The driver reads the
+results in plan order, start by start, ascending; as soon as the last shard
+of a start is in, the sink receives the heap merge of that start's files,
+which are then deleted, while the pool runs on.  So the summary and the
+stream are the same for every jobs value.
 """
 
 from __future__ import annotations
@@ -39,9 +40,9 @@ import signal
 import struct
 import tempfile
 import time
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache, partial
+from itertools import islice
 
 from .board import BoardSpec, adjacency
 from .cycles import _FAR, _is_minimal_given, _side_extremes
@@ -61,8 +62,9 @@ class EnumerationSummary:
 
 
 class ShardLostError(RuntimeError):
-    """A worker process died, and the shards whose results never came back
-    (the one it was running among them) are lost."""
+    """A worker process died, and the shards whose results were not yet read
+    (the one it was running among them) are lost: a tail of the plan, in
+    plan order, which may hold shards that finished but were never read."""
 
     def __init__(self, shards: list[tuple[int, ...]]):
         names = ["-".join(map(str, shard)) for shard in shards]
@@ -243,31 +245,27 @@ def _mitm_one_pair(board: BoardSpec, k: int, s: int, t: int, emit) -> None:
     for every pair tried took the k=12 join from 2.0-2.3 s to 3.3-3.9 s of
     CPU.
     """
-    halves = _half_paths_raw(board, k, s, t)
     low = s - 1
-    extremes = [_side_extremes(cells, board.width) for cells in halves]
+    # A half whose own column-0 cells start an image below s joins nothing.
+    halves = [(cells, extremes) for cells in _half_paths_raw(board, k, s, t)
+              if (extremes := _side_extremes(cells, board.width))[3] >= low]
     # A closure reads half a forwards, then half b's interior backwards.  The
-    # a side goes in ascending order and the b side is indexed by reversed
+    # a side goes in ascending order and the b side is sorted by reversed
     # halves, so one a's partners, lowest bit first, glue in ascending order.
-    order = sorted(range(len(halves)), key=lambda i: halves[i][::-1])
-    tails = [halves[i][-2:0:-1] for i in order]
-    b_extremes = [extremes[i] for i in order]
+    b_side = sorted(halves, key=lambda half: half[0][::-1])
+    tails = [cells[-2:0:-1] for cells, _ in b_side]
+    b_extremes = [extremes for _, extremes in b_side]
     # Bitsets over the b order: holders[c] and seconds[c] hold the halves
-    # with c in the interior and as the second cell.  A half whose own
-    # column-0 cells start an image below s joins nothing.
+    # with c in the interior and as the second cell.
     holders = [0] * (board.size + 1)
     seconds: dict[int, int] = {}
     col0 = 0
-    for j, i in enumerate(order):
-        cells = halves[i]
-        left_min = extremes[i][3]
-        if left_min < low:
-            continue
+    for j, (cells, extremes) in enumerate(b_side):
         bit = 1 << j
         for c in cells[1:-1]:
             holders[c] |= bit
         seconds[cells[1]] = seconds.get(cells[1], 0) | bit
-        if left_min != _FAR:
+        if extremes[3] != _FAR:
             col0 |= bit
     # A glued sequence reads a's second cell at position 1 and b's at
     # position k-1, and only pairs with the former smaller can be canonical:
@@ -275,11 +273,8 @@ def _mitm_one_pair(board: BoardSpec, k: int, s: int, t: int, emit) -> None:
     # bitsets are disjoint, so their sum is their union).
     above = {c: sum(bits for d, bits in seconds.items() if d > c)
              for c in seconds}
-    for i, a_cells in enumerate(halves):
-        (a_rows, a_cols, a_top, a_left_min, a_left_max, a_bottom_min,
-         a_bottom_max, a_right_min, a_right_max) = extremes[i]
-        if a_left_min < low:
-            continue
+    for a_cells, (a_rows, a_cols, a_top, a_left_min, a_left_max, a_bottom_min,
+                  a_bottom_max, a_right_min, a_right_max) in halves:
         clash = 0
         for c in a_cells[1:-1]:
             clash |= holders[c]
@@ -347,7 +342,7 @@ def _run_shard(algorithm: str, k: int, simple_filter: bool,
     reading them off the cells; the engines guarantee the core's
     preconditions (smallest cell first, cells[1] < cells[-1]).
 
-    Returns (shard, count, simple, shard_file).  Kept sequences stream to a
+    Returns (count, simple, shard_file).  Kept sequences stream to a
     file in shard_dir, if given, and one not above the previous raises
     RuntimeError.  A shard that keeps nothing writes no file (None).
     """
@@ -390,17 +385,17 @@ def _run_shard(algorithm: str, k: int, simple_filter: bool,
     finally:
         if out is not None:
             out.close()
-    return shard, count, simple, None if out is None else out.name
+    return count, simple, None if out is None else out.name
 
 
 def _run_in_pool(run, shards, workers: int):
-    """Yield run(shard) for every shard, as each completes, from a pool of
-    worker processes.  A worker that dies (killed, out of memory) breaks the
-    pool; that surfaces as ShardLostError naming the shards whose results
-    never came back.  Closing the generator shuts the pool down."""
+    """Yield run(shard) for every shard, in the order of shards, from a pool
+    of worker processes.  A worker that dies (killed, out of memory) breaks
+    the pool; that surfaces as ShardLostError naming the shards whose
+    results were not yet read.  Closing the generator shuts the pool down."""
     # Imported on first use: it loads logging and multiprocessing, which the
     # package import and jobs=1 runs do without.
-    from concurrent.futures import ProcessPoolExecutor, as_completed
+    from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
 
     # Workers die at once on Ctrl-C (SIGINT reaches the whole process group)
@@ -408,14 +403,12 @@ def _run_in_pool(run, shards, workers: int):
     with ProcessPoolExecutor(max_workers=workers, initializer=signal.signal,
                              initargs=(signal.SIGINT, signal.SIG_DFL)) as pool:
         futures = [pool.submit(run, shard) for shard in shards]
-        done = set()
         try:
-            for future in as_completed(futures):
+            for i, future in enumerate(futures):
                 try:
                     result = future.result()
                 except BrokenProcessPool as exc:
-                    raise ShardLostError(sorted(set(shards) - done)) from exc
-                done.add(result[0])
+                    raise ShardLostError(shards[i:]) from exc
                 yield result
         finally:
             # After a failure, shards that have not started never will.
@@ -440,10 +433,10 @@ def enumerate_cycles(k: int, algorithm: str = "dfs", *,
     Work is partitioned by start cell (dfs) or by (s, t) pair (mitm) and run
     inline (jobs=1) or in a pool of ``jobs`` processes.  A count-only call
     holds no sequences and writes no files.  With a sink, every shard streams
-    its kept sequences, in order, to a file in a temporary directory, and the
-    sink receives their merge, one start at a time as soon as its shards are
-    in: canonical sequences in strictly ascending order, identical for every
-    jobs value.
+    its kept sequences, in order, to a file in a temporary directory.  Shard
+    results are read in plan order, and the sink receives their merge one
+    start at a time, as soon as its last shard is in: canonical sequences in
+    strictly ascending order, identical for every jobs value.
     """
     if k % 2 != 0 or k < 4:
         raise ValueError(f"cycle length must be an even number >= 4, got {k}")
@@ -458,15 +451,12 @@ def enumerate_cycles(k: int, algorithm: str = "dfs", *,
     started = time.perf_counter()
     # A canonical sequence of length k starts in the top-row prefix 1..k/2+1.
     starts = range(1, k // 2 + 2)
-    if algorithm == "dfs":
-        shards = [(s,) for s in starts]
-    else:
-        shards = [(s, t) for s in starts for t in _mitm_pairs_for_start(board, k, s)]
+    plan = {s: [(s,)] if algorithm == "dfs"
+            else [(s, t) for t in _mitm_pairs_for_start(board, k, s)]
+            for s in starts}
+    shards = [shard for s in starts for shard in plan[s]]
     per_start = dict.fromkeys(starts, 0)
     simple = 0
-    files = {s: [] for s in starts}  # shard files of the undrained starts
-    left = Counter(shard[0] for shard in shards)  # their shards still out
-    low = starts[0]
     with (tempfile.TemporaryDirectory(prefix="knightcycles-") if sink is not None
           else contextlib.nullcontext()) as shard_dir:
         run = partial(_run_shard, algorithm, k, simple_filter, emit_only_simple,
@@ -474,20 +464,19 @@ def enumerate_cycles(k: int, algorithm: str = "dfs", *,
         with contextlib.closing(
                 (run(shard) for shard in shards) if jobs == 1
                 else _run_in_pool(run, shards, min(jobs, len(shards)))) as results:
-            for (s, *_), shard_count, shard_simple, path in results:
-                per_start[s] += shard_count
-                simple += shard_simple
-                left[s] -= 1
-                if path is not None:
-                    files[s].append(path)
-                # All of start s sorts below start s + 1, so starts drain in
-                # ascending order, each once all of its shards are in.
-                while low in files and not left[low]:
-                    for seq in heapq.merge(*(_read_shard(f, k) for f in files[low])):
-                        sink(seq)
-                    for f in files.pop(low):
-                        os.unlink(f)
-                    low += 1
+            # Results come in plan order and all of start s sorts below start
+            # s + 1, so each start drains as soon as its last shard is in.
+            for s in starts:
+                paths = []
+                for count, shard_simple, path in islice(results, len(plan[s])):
+                    per_start[s] += count
+                    simple += shard_simple
+                    if path is not None:
+                        paths.append(path)
+                for seq in heapq.merge(*(_read_shard(f, k) for f in paths)):
+                    sink(seq)
+                for f in paths:
+                    os.unlink(f)
     return EnumerationSummary(
         k=k, algorithm=algorithm, total=sum(per_start.values()),
         simple=simple if simple_filter else None,

@@ -495,6 +495,38 @@ class TestStreaming:
         """, tmp_path)
         assert (code, out) == (0, "480 True\n"), err
 
+    def test_shards_finishing_out_of_order_are_read_in_plan_order(self, tmp_path):
+        """Start 1's shard sleeps, so the later starts' shards finish before
+        it; the stream, total and per_start still equal the jobs=1 run's."""
+        code, out, err = _run_child("""
+            import os, sys, tempfile, time
+            from knightcycles import search
+
+            tempfile.tempdir = sys.argv[1]
+            finished = os.path.join(sys.argv[1], "finished")
+            engine = search._dfs_one_start
+
+            def slow_start_1(board, k, s, emit):
+                if s == 1:
+                    time.sleep(1)
+                engine(board, k, s, emit)
+                with open(finished, "a") as fh:
+                    fh.write(f"{s}\\n")
+
+            search._dfs_one_start = slow_start_1
+            runs = []
+            for jobs in (1, 2):
+                out = []
+                summary = search.enumerate_cycles(8, "dfs", jobs=jobs,
+                                                  sink=out.append)
+                runs.append((summary.total, summary.per_start, out))
+            # The second half of the file is the jobs=2 run's finishing order.
+            with open(finished) as fh:
+                order = [int(line) for line in fh][5:]
+            print(order != sorted(order), runs[0] == runs[1], runs[1][0])
+        """, tmp_path)
+        assert (code, out) == (0, "True True 480\n"), err
+
     def test_jobs_1_feeds_a_start_before_running_the_next(self, monkeypatch):
         events: list[tuple] = []
         run_shard = search._run_shard
@@ -574,9 +606,10 @@ class TestFailureModes:
         assert list(tmp_path.iterdir()) == []
 
     def test_killed_worker_fails_instead_of_hanging(self, tmp_path):
-        """A worker killed mid-shard ends the run with an error naming a lost
-        shard and removes the shard directory; the CLI prints one error line
-        and exits 1."""
+        """A worker killed mid-shard ends the run with an error naming the
+        unread tail of the plan, in plan order, the lost shard among them,
+        and removes the shard directory; the CLI prints one error line and
+        exits 1."""
         code, out, err = _run_child("""
             import os, signal, sys, tempfile
             from knightcycles import cli, search
@@ -593,7 +626,10 @@ class TestFailureModes:
             try:
                 search.enumerate_cycles(8, "dfs", jobs=2, sink=lambda seq: None)
             except search.ShardLostError as exc:
-                print((2,) in exc.shards, os.listdir(sys.argv[1]))
+                plan = [(s,) for s in range(1, 6)]
+                tail = plan[len(plan) - len(exc.shards):]
+                print(exc.shards == tail and (2,) in tail,
+                      os.listdir(sys.argv[1]))
             sys.exit(cli.main(["count", "--length", "8", "--jobs", "2"]))
         """, tmp_path)
         assert out == "True []\n"
