@@ -222,30 +222,42 @@ def _is_minimal_given(cells, side: int, extremes) -> bool:
      right_min, right_max) = extremes
     if left_min == _FAR:
         return False
-    first = cells[0]
-    low = first - 1
-    offsets = (last_col - top_max, bottom_min, last_col - bottom_max,
-               left_min, last_row - left_max, right_min, last_row - right_max)
-    if min(offsets) < low:
+    low = cells[0] - 1
+    # The start offset of each image, in the order of _symmetry_tables.
+    top = last_col - top_max
+    bottom_hi = last_col - bottom_max
+    left_hi = last_row - left_max
+    right_hi = last_row - right_max
+    if (top < low or bottom_min < low or bottom_hi < low or left_min < low
+            or left_hi < low or right_min < low or right_hi < low):
         return False
-    # The start cell of each image, in the order of _symmetry_tables.
-    bottom = last_row * side
-    starts = (top_max + 1, bottom + bottom_min + 1, bottom + bottom_max + 1,
-              left_min * side + 1, left_max * side + 1,
-              right_min * side + last_col + 1, right_max * side + last_col + 1)
-    k = len(cells)
-    for offset, start, table in zip(offsets, starts, _symmetry_tables(side)):
-        if offset != low:
-            continue
-        # The whole-board symmetry moves the placement by a constant index
-        # shift away from its normalized image, whose start is cells[0].
-        shift = table[start] - first
-        pos = cells.index(start)
-        for step in (1, -1):
-            for off in range(1, k):
-                image = table[cells[(pos + step * off) % k]] - shift
-                if image != cells[off]:
-                    if image < cells[off]:
-                        return False
-                    break
-    return True
+    # Only a tied image is read, from its start cell in both directions.
+    tables = _symmetry_tables(side)
+    bottom = last_row * side + 1
+    right = last_col + 1
+    return not (
+        top == low and _image_below(cells, tables[0], top_max + 1)
+        or bottom_min == low and _image_below(cells, tables[1], bottom + bottom_min)
+        or bottom_hi == low and _image_below(cells, tables[2], bottom + bottom_max)
+        or left_min == low and _image_below(cells, tables[3], left_min * side + 1)
+        or left_hi == low and _image_below(cells, tables[4], left_max * side + 1)
+        or right_min == low and _image_below(cells, tables[5], right_min * side + right)
+        or right_hi == low and _image_below(cells, tables[6], right_max * side + right))
+
+
+def _image_below(cells, table, start: int) -> bool:
+    """True iff the image of ``cells`` under the symmetry ``table``, read
+    from ``start`` in either direction, is below ``cells``.  The whole-board
+    symmetry moves the placement by a constant index shift away from its
+    normalized image, whose start is cells[0]."""
+    shift = table[start] - cells[0]
+    pos = cells.index(start)
+    ring = cells[pos:] + cells[:pos]
+    for step in (1, -1):
+        for off in range(1, len(cells)):
+            image = table[ring[step * off]] - shift
+            if image != cells[off]:
+                if image < cells[off]:
+                    return True
+                break
+    return False

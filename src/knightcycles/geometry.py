@@ -122,6 +122,18 @@ class CrossingTable:
             u = v
         return True
 
+    def path_masks(self, cells) -> tuple[int, int]:
+        """An open path's edge mask and the union of its edges' crossing
+        masks.  Paths that close a cycle, each edge once, give a simple one
+        iff the union of their crossing masks misses that of their edges."""
+        edges = self._edges
+        seen = crossed = 0
+        for u, v in zip(cells, cells[1:]):
+            bit, crossing = edges[(u, v)]
+            seen |= bit
+            crossed |= crossing
+        return seen, crossed
+
 
 @lru_cache(maxsize=8)
 def crossing_table(board: BoardSpec) -> CrossingTable:

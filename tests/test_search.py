@@ -19,6 +19,7 @@ from knightcycles.cycles import (
     validate_cycle,
 )
 from knightcycles import cycles, search
+from knightcycles.geometry import crossing_table
 from knightcycles.search import (
     _dfs_one_start,
     _half_paths_raw,
@@ -216,6 +217,51 @@ class TestJoinPrefilter:
         # Closures handed to the canonicity test (a count, not a speed):
         # 3159 at k=8 and 89268 at k=10 without the start test.
         assert emitted_total == candidates
+
+
+class TestStartBound:
+    """No canonical cycle of length k starts beyond cell 3k/8 + 1, and the
+    engines do no work there."""
+
+    @pytest.mark.parametrize("k", [4, 6, 8, 10])
+    def test_every_class_starts_within_the_bound(self, k, keys_by_k):
+        assert all(8 * (key[0] - 1) <= 3 * k for key in keys_by_k(k))
+
+    @pytest.mark.parametrize("k", [4, 6, 8, 10, 12])
+    def test_no_shards_past_the_bound(self, k):
+        board = BoardSpec.for_cycle_length(k)
+        for s in range(1, k // 2 + 2):
+            pairs = _mitm_pairs_for_start(board, k, s)
+            assert (pairs == []) == (8 * (s - 1) > 3 * k)
+            if 8 * (s - 1) > 3 * k:
+                assert _dfs_emissions(board, k, s) == []
+
+    @pytest.mark.parametrize("k, classes", [(8, 6), (10, 63)])
+    def test_tight_at_start_4(self, k, classes, keys_by_k):
+        assert 8 * (4 - 1) <= 3 * k < 8 * (5 - 1)
+        assert sum(key[0] == 4 for key in keys_by_k(k)) == classes
+
+
+class TestHalfMaskSimplicity:
+    """With a crossing table, the join flags each closure simple from the
+    masks of its two halves, and the flag is the crossing test's."""
+
+    @pytest.mark.parametrize("k", [4, 6, 8, 10])
+    def test_flag_matches_the_crossing_test(self, k):
+        board = BoardSpec.for_cycle_length(k)
+        table = crossing_table(board)
+        flags: list[tuple[tuple[int, ...], bool]] = []
+        for s in range(1, k // 2 + 2):
+            for t in _mitm_pairs_for_start(board, k, s):
+                _mitm_one_pair(
+                    board, k, s, t,
+                    lambda seq, extremes, simple: flags.append((seq, simple)),
+                    table)
+        assert flags
+        assert [simple for _, simple in flags] == [
+            table.is_simple_cells(seq) for seq, _ in flags]
+        if k >= 6:
+            assert {simple for _, simple in flags} == {True, False}
 
 
 class TestEmissionOrder:
