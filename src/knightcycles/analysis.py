@@ -1,5 +1,5 @@
-"""Twin detection, reference-count verification, the cycle file format, and
-grid rendering."""
+"""Twin detection, reference-count verification (a generator of rows, one
+per length and engine), the cycle file format, and grid rendering."""
 
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ import os
 import re
 import shutil
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .board import BoardSpec, coord_of
 from .cycles import CycleSeq, CycleValidationError, canonical_cell_set, validate_cycle
@@ -75,52 +75,34 @@ class VerificationRow:
     simple: int
     elapsed: float
 
-    @property
-    def passed(self) -> bool:
-        return self.total == self.expected_total and self.simple == self.expected_simple
-
-
-@dataclass
-class VerificationReport:
-    rows: list[VerificationRow] = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return all(row.passed for row in self.rows)
-
     def failures(self) -> list[str]:
+        """How the counts differ from the reference; empty means PASS."""
         out = []
-        for row in self.rows:
-            if row.total != row.expected_total:
-                out.append(f"k={row.k} {row.algorithm}: expected "
-                           f"{row.expected_total} classes, got {row.total}")
-            if row.simple != row.expected_simple:
-                out.append(f"k={row.k} {row.algorithm}: expected "
-                           f"{row.expected_simple} simple, got {row.simple}")
+        if self.total != self.expected_total:
+            out.append(f"k={self.k} {self.algorithm}: expected "
+                       f"{self.expected_total} classes, got {self.total}")
+        if self.simple != self.expected_simple:
+            out.append(f"k={self.k} {self.algorithm}: expected "
+                       f"{self.expected_simple} simple, got {self.simple}")
         return out
 
 
-def verify_tables(k_max: int, algorithm: str = "both", jobs: int = 1,
-                  on_row=None) -> VerificationReport:
-    """Re-enumerate every length up to k_max and compare against the
-    reference counts.  ``on_row`` sees each VerificationRow as it finishes."""
-    if k_max % 2 != 0 or not 4 <= k_max <= 16:
+def verify_tables(k_max: int, algorithm: str = "both", jobs: int = 1):
+    """Re-enumerate every length up to k_max and yield one VerificationRow
+    per (length, engine), each as soon as its enumeration returns.  A bad
+    k_max raises ValueError on the first next(), before any enumeration."""
+    if k_max not in EXPECTED_COUNTS:
         raise ValueError(f"max length must be even and within 4..16, got {k_max}")
     algorithms = ("dfs", "mitm") if algorithm == "both" else (algorithm,)
-    report = VerificationReport()
     for k in range(4, k_max + 2, 2):
         expected_total, expected_simple = EXPECTED_COUNTS[k]
         for alg in algorithms:
             summary = enumerate_cycles(k, alg, simple_filter=True, jobs=jobs)
-            row = VerificationRow(
+            yield VerificationRow(
                 k=k, algorithm=alg,
                 expected_total=expected_total, total=summary.total,
                 expected_simple=expected_simple, simple=summary.simple,
                 elapsed=summary.elapsed)
-            report.rows.append(row)
-            if on_row is not None:
-                on_row(row)
-    return report
 
 
 class ParseError(ValueError):

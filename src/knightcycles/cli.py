@@ -115,19 +115,18 @@ def _cmd_list(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    def show(row):
-        status = "PASS" if row.passed else "FAIL"
+    failures = []
+    for row in verify_tables(args.max_length, args.algorithm, jobs=args.jobs):
+        row_failures = row.failures()
         print(f"k={row.k:<3d} {row.algorithm:<4s} "
               f"total={row.total} (expect {row.expected_total})  "
               f"simple={row.simple} (expect {row.expected_simple})  "
-              f"elapsed={row.elapsed:.2f}s  {status}")
-
-    report = verify_tables(args.max_length, args.algorithm,
-                           jobs=args.jobs, on_row=show)
-    if report.passed:
+              f"elapsed={row.elapsed:.2f}s  {'FAIL' if row_failures else 'PASS'}")
+        failures += row_failures
+    if not failures:
         print("all counts match")
         return 0
-    for failure in report.failures():
+    for failure in failures:
         print(f"MISMATCH: {failure}", file=sys.stderr)
     return FAILURE
 
@@ -159,11 +158,9 @@ def _cmd_render(args) -> int:
     board = BoardSpec.square(args.width)
     cycle = validate_cycle(cells, board)
     document = render(cycle, args.format)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(document)
-    else:
-        sys.stdout.write(document)
+    with (open(args.out, "w") if args.out
+          else contextlib.nullcontext(sys.stdout)) as out:
+        out.write(document)
     return 0
 
 

@@ -428,7 +428,9 @@ def _run_in_pool(run, shards, workers: int):
     """Yield run(shard) for every shard, in the order of shards, from a pool
     of worker processes.  A worker that dies (killed, out of memory) breaks
     the pool; that surfaces as ShardLostError naming the shards whose
-    results were not yet read.  Closing the generator shuts the pool down."""
+    results were not yet read.  Closing the generator shuts the pool down,
+    at once if results are left unread: it terminates the workers, so the
+    shards they run stop as well as those still queued."""
     # Imported on first use: it loads logging and multiprocessing, which the
     # package import and jobs=1 runs do without.
     from concurrent.futures import ProcessPoolExecutor
@@ -446,6 +448,13 @@ def _run_in_pool(run, shards, workers: int):
                 except BrokenProcessPool as exc:
                     raise ShardLostError(shards[i:]) from exc
                 yield result
+        except GeneratorExit:
+            if i + 1 < len(futures):  # closed with results unread
+                # Python 3.14 has terminate_workers(); before it the pool's
+                # _processes map is the only handle on the workers.
+                for process in list(pool._processes.values()):
+                    process.terminate()
+            raise
         finally:
             # After a failure, shards that have not started never will.
             pool.shutdown(cancel_futures=True)

@@ -59,29 +59,27 @@ class TestTwins:
 
 class TestVerifyTables:
     def test_passes_up_to_length8(self):
-        rows = []
-        report = verify_tables(8, "both", on_row=rows.append)
-        assert report.passed
+        rows = list(verify_tables(8, "both"))
+        assert all(row.failures() == [] for row in rows)
         assert len(rows) == 6  # three lengths x two engines
         assert {r.k for r in rows} == {4, 6, 8}
-        assert report.failures() == []
 
     def test_single_algorithm(self):
-        report = verify_tables(6, "mitm")
-        assert [r.algorithm for r in report.rows] == ["mitm", "mitm"]
-        assert report.passed
+        rows = list(verify_tables(6, "mitm"))
+        assert [r.algorithm for r in rows] == ["mitm", "mitm"]
+        assert all(row.failures() == [] for row in rows)
 
     def test_corrupted_expectation_is_named(self, monkeypatch):
         monkeypatch.setitem(EXPECTED_COUNTS, 6, (26, 13))
-        report = verify_tables(6, "dfs")
-        assert not report.passed
-        failures = report.failures()
+        rows = list(verify_tables(6, "dfs"))
+        failures = [f for row in rows for f in row.failures()]
+        assert failures
         assert any("k=6" in f and "26" in f and "25" in f for f in failures)
 
     @pytest.mark.parametrize("bad", [3, 18, 7])
     def test_rejects_bad_max_length(self, bad):
         with pytest.raises(ValueError):
-            verify_tables(bad)
+            next(verify_tables(bad))
 
 
 class TestCycleFiles:

@@ -5,7 +5,7 @@ import re
 import pytest
 
 from knightcycles.analysis import write_cycles
-from knightcycles import cli
+from knightcycles import analysis, cli
 from knightcycles.cli import main, _default_jobs
 from conftest import MINIMAL_K8_W5
 
@@ -168,6 +168,36 @@ class TestVerify:
         assert code == 0
         assert out.count("PASS") == 4
         assert "all counts match" in out
+
+    def test_mismatch_fails_with_the_row_and_the_reason(self, capsys,
+                                                        monkeypatch):
+        monkeypatch.setitem(analysis.EXPECTED_COUNTS, 6, (26, 13))
+        code, out, err = run_cli(capsys, "verify", "--max-length", "6",
+                                 "--algorithm", "dfs")
+        assert code == 1
+        rows = out.splitlines()
+        assert len(rows) == 2
+        assert rows[0].startswith("k=4   dfs  total=3 (expect 3)")
+        assert rows[0].endswith("PASS")
+        assert rows[1].startswith("k=6   dfs  total=25 (expect 26)")
+        assert rows[1].endswith("FAIL")
+        assert err == "MISMATCH: k=6 dfs: expected 26 classes, got 25\n"
+
+    def test_each_row_is_printed_before_the_next_enumeration(self, capsys,
+                                                             monkeypatch):
+        chunks = []  # stdout written since the previous enumeration began
+        enumerate_cycles = analysis.enumerate_cycles
+
+        def recording(*args, **kwargs):
+            chunks.append(capsys.readouterr().out)
+            return enumerate_cycles(*args, **kwargs)
+
+        monkeypatch.setattr(analysis, "enumerate_cycles", recording)
+        code, out, _ = run_cli(capsys, "verify", "--max-length", "8")
+        assert code == 0
+        assert [chunk.count("PASS") for chunk in chunks] == [0, 1, 1, 1, 1, 1]
+        assert out.count("PASS") == 1
+        assert out.endswith("all counts match\n")
 
 
 class TestTwins:

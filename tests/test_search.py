@@ -621,6 +621,44 @@ class TestStreaming:
         assert list(tmp_path.iterdir()) == []
         assert multiprocessing.active_children() == []
 
+    def test_sink_error_ends_the_running_shards(self, tmp_path):
+        """A sink that fails on start 1 while start 2's shard sleeps 60 s ends
+        the run with its error at once: the workers are terminated, not
+        waited for, and none is left alive."""
+        code, out, err = _run_child("""
+            import multiprocessing, os, sys, tempfile, time
+            from knightcycles import search
+
+            tempfile.tempdir = sys.argv[1]
+            engine = search._dfs_one_start
+
+            def slow_start_2(board, k, s, emit):
+                if s == 2:
+                    time.sleep(60)
+                engine(board, k, s, emit)
+
+            def sink(_):
+                raise RuntimeError("sink failed")
+
+            search._dfs_one_start = slow_start_2
+            try:
+                search.enumerate_cycles(10, "dfs", jobs=2, sink=sink)
+            finally:
+                print(multiprocessing.active_children(), os.listdir(sys.argv[1]))
+        """, tmp_path, timeout=20)
+        assert (code, out) == (1, "[] []\n"), err
+        assert err.rstrip().endswith("RuntimeError: sink failed")
+
+    def test_a_run_that_reads_every_result_shuts_the_pool_down_gracefully(
+            self, monkeypatch):
+        terminated = []
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "terminate",
+                            terminated.append)
+        enumerate_cycles(8, "mitm", jobs=2, sink=lambda seq: None)
+        enumerate_cycles(8, "dfs", jobs=2)
+        assert terminated == []
+        assert multiprocessing.active_children() == []
+
 
 class TestFailureModes:
     @pytest.mark.parametrize("jobs", [1, 2])
