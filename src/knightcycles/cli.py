@@ -121,7 +121,8 @@ def _cmd_verify(args) -> int:
         print(f"k={row.k:<3d} {row.algorithm:<4s} "
               f"total={row.total} (expect {row.expected_total})  "
               f"simple={row.simple} (expect {row.expected_simple})  "
-              f"elapsed={row.elapsed:.2f}s  {'FAIL' if row_failures else 'PASS'}")
+              f"elapsed={row.elapsed:.2f}s  {'FAIL' if row_failures else 'PASS'}",
+              flush=True)
         failures += row_failures
     if not failures:
         print("all counts match")
@@ -155,6 +156,8 @@ def _cmd_render(args) -> int:
         print(f"--seq must be comma-separated integers, got {args.seq!r}",
               file=sys.stderr)
         return USAGE_ERROR
+    if args.width > 64:  # the largest listing board is 17; tables grow as W^2
+        raise ValueError(f"--width must be at most 64, got {args.width}")
     board = BoardSpec.square(args.width)
     cycle = validate_cycle(cells, board)
     document = render(cycle, args.format)

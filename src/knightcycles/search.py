@@ -239,11 +239,11 @@ def _half_paths_raw(board: BoardSpec, k: int, s: int, t: int):
 
 def _mitm_one_pair(board: BoardSpec, k: int, s: int, t: int, emit,
                    table: CrossingTable | None = None) -> None:
-    """emit(sequence, extremes), in ascending order of the sequences, for the
-    closures with start s and opposite cell t that two s -> t halves with
-    disjoint interiors glue into, less those whose start test already fails.
-    Given a crossing table, emit(sequence, extremes, simple) instead, with
-    the closure's simple flag read off its halves' CrossingTable.path_masks.
+    """emit(sequence, extremes, simple), in ascending order of the sequences,
+    for the closures with start s and opposite cell t that two s -> t halves
+    with disjoint interiors glue into, less those whose start test already
+    fails.  simple comes from the halves' CrossingTable.path_masks; without
+    a table every half has the masks (0, 0), and simple means nothing.
 
     A glued sequence starts at s, its smallest cell, so it can only be
     canonical when every symmetry image of it starts at an offset of at least
@@ -253,9 +253,8 @@ def _mitm_one_pair(board: BoardSpec, k: int, s: int, t: int, emit,
     decide the test before the sequence is built.  The pair's combined side
     extremes, in the order of cycles._side_extremes, go out with the
     sequence, and the caller runs the canonicity core on every emission.
-    The test needs a box 2(s - 1) rows deep and wide (see _last_start), so
-    a half short of either keeps only the partners that reach it (tall,
-    wide): at k=12, 1,165,718 pairs tried instead of 1,713,117.
+    The test needs a box 2(s - 1) rows deep and wide (see _last_start), so a
+    half short of either keeps only the partners that reach it (tall, wide).
 
     The join tests the offsets inline, side by side with early exits, and
     does not share the core's offset computation: a helper call on a 9-tuple
@@ -264,7 +263,7 @@ def _mitm_one_pair(board: BoardSpec, k: int, s: int, t: int, emit,
     """
     low = s - 1
     # A half whose own column-0 cells start an image below s joins nothing.
-    halves = [(cells, extremes, table and table.path_masks(cells))
+    halves = [(cells, extremes, table.path_masks(cells) if table else (0, 0))
               for cells in _half_paths_raw(board, k, s, t)
               if (extremes := _side_extremes(cells, board.width))[3] >= low]
     # A closure reads half a forwards, then half b's interior backwards.  The
@@ -297,8 +296,9 @@ def _mitm_one_pair(board: BoardSpec, k: int, s: int, t: int, emit,
     # bitsets are disjoint, so their sum is their union).
     above = {c: sum(bits for d, bits in seconds.items() if d > c)
              for c in seconds}
-    for a_cells, (a_rows, a_cols, a_top, a_left_min, a_left_max, a_bottom_min,
-                  a_bottom_max, a_right_min, a_right_max), a_masks in halves:
+    for (a_cells, (a_rows, a_cols, a_top, a_left_min, a_left_max, a_bottom_min,
+                   a_bottom_max, a_right_min, a_right_max),
+         (a_edges, a_crossed)) in halves:
         clash = 0
         for c in a_cells[1:-1]:
             clash |= holders[c]
@@ -347,26 +347,19 @@ def _mitm_one_pair(board: BoardSpec, k: int, s: int, t: int, emit,
             extremes = (last_row, last_col, top,
                         a_left_min if a_left_min < b_left_min else b_left_min,
                         left_max, bottom_min, bottom_max, right_min, right_max)
-            if a_masks is None:
-                emit(a_cells + tails[j], extremes)
-            else:
-                b_edges, b_crossed = b_masks[j]
-                emit(a_cells + tails[j], extremes,
-                     not (a_masks[1] | b_crossed) & (a_masks[0] | b_edges))
+            b_edges, b_crossed = b_masks[j]
+            emit(a_cells + tails[j], extremes,
+                 not (a_crossed | b_crossed) & (a_edges | b_edges))
 
 
 def _mitm_pairs_for_start(board: BoardSpec, k: int, s: int):
-    """Opposite cells worth trying for start s: reachable in at most k/2
-    moves of matching parity, above s; none beyond _last_start(k), which
-    drops 162 of 554 shards at k=12.  Pure pre-filter; the half-path search
-    is exact regardless."""
+    """Opposite cells for start s: those above s of the colour k/2 knight
+    moves reach, and none beyond _last_start(k).  The board's side k+1 is
+    odd, so colour is the parity of the cell number.  A cell out of reach
+    is an empty shard: _half_paths_raw's distance cut fails at its root."""
     if s > _last_start(k):
         return []
-    adj_s = _filtered_adjacency(board, s)
-    dist_s = _distances(adj_s, (s,), board.size)
-    m = k // 2
-    return [t for t in range(s + 1, board.size + 1)
-            if dist_s[t] <= m and (dist_s[t] - m) % 2 == 0]
+    return list(range(s + 2 - k // 2 % 2, board.size + 1, 2))
 
 
 def _run_shard(algorithm: str, k: int, simple_filter: bool,

@@ -1,9 +1,15 @@
 import errno
 import os
 import re
+import select
+import signal
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
+import knightcycles
 from knightcycles.analysis import write_cycles
 from knightcycles import analysis, cli
 from knightcycles.cli import main, _default_jobs
@@ -199,6 +205,56 @@ class TestVerify:
         assert out.count("PASS") == 1
         assert out.endswith("all counts match\n")
 
+    def test_rows_reach_a_pipe_as_they_are_printed(self, tmp_path):
+        """With stdout on a pipe and PYTHONUNBUFFERED unset, the k=4 row
+        arrives while the k=6 enumeration still waits for a flag file the
+        test creates only after reading that row."""
+        flag = tmp_path / "go"
+        script = textwrap.dedent("""
+            import os, sys, time
+            from knightcycles import analysis, cli
+
+            flag = sys.argv[1]
+            enumerate_cycles = analysis.enumerate_cycles
+
+            def gated(k, *args, **kwargs):
+                deadline = time.monotonic() + 60
+                while k == 6 and not os.path.exists(flag):
+                    if time.monotonic() > deadline:
+                        sys.exit("no flag file within 60 s")
+                    time.sleep(0.01)
+                return enumerate_cycles(k, *args, **kwargs)
+
+            analysis.enumerate_cycles = gated
+            sys.exit(cli.main(["verify", "--max-length", "8",
+                               "--algorithm", "dfs"]))
+            """)
+        src = os.path.dirname(os.path.dirname(knightcycles.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        env.pop("PYTHONUNBUFFERED", None)
+        proc = subprocess.Popen([sys.executable, "-c", script, str(flag)],
+                                env=env, start_new_session=True, text=True,
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        try:
+            ready, _, _ = select.select([proc.stdout], [], [], 30)
+            first = proc.stdout.readline() if ready else ""
+            flag.touch()
+            code = proc.wait(timeout=60)
+        except subprocess.TimeoutExpired:
+            pytest.fail("child still running after 60 s")
+        finally:
+            if proc.poll() is None:
+                os.killpg(proc.pid, signal.SIGKILL)
+                proc.wait()
+            rest = proc.stdout.read()
+            err = proc.stderr.read()
+            proc.stdout.close()
+            proc.stderr.close()
+        assert first.startswith("k=4   dfs  total=3 (expect 3)"), (first, err)
+        assert code == 0, err
+        assert rest.count("PASS") == 2
+        assert rest.endswith("all counts match\n")
+
 
 class TestTwins:
     def test_length8_block_output(self, capsys):
@@ -242,6 +298,20 @@ class TestRender:
         code, _, err = run_cli(capsys, "render", "--seq", "a,b", "--width", "5")
         assert code == 2
         assert "comma-separated" in err
+
+    def test_width_is_checked_before_any_board_table(self, capsys, monkeypatch):
+        """A board table grows with W^2, so a mistyped width is refused
+        before validate_cycle builds one."""
+        def never(*args, **kwargs):
+            raise AssertionError("validated a cycle on an oversized board")
+
+        monkeypatch.setattr(cli, "validate_cycle", never)
+        seq = ",".join(map(str, MINIMAL_K8_W5))
+        code, out, err = run_cli(capsys, "render", "--seq", seq,
+                                 "--width", "1000000")
+        assert code == 2
+        assert out == ""
+        assert err == "error: --width must be at most 64, got 1000000\n"
 
 
 class TestJobsEnvironment:

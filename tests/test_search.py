@@ -37,7 +37,7 @@ def _mask(cells) -> int:
 def _pair_emissions(board, k, s, t) -> list[tuple[int, ...]]:
     """Every closure one mitm (s, t) shard emits, before the canonical test."""
     out: list[tuple[int, ...]] = []
-    _mitm_one_pair(board, k, s, t, lambda seq, extremes: out.append(seq))
+    _mitm_one_pair(board, k, s, t, lambda seq, extremes, simple: out.append(seq))
     return out
 
 
@@ -334,7 +334,7 @@ class TestEngineExtremes:
         side = board.width
         emitted: list = []
 
-        def record(seq, extremes):
+        def record(seq, extremes, simple=None):
             emitted.append((tuple(seq), extremes))
 
         for s in range(1, k // 2 + 2):
