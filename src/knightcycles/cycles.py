@@ -74,15 +74,14 @@ def validate_cycle(cells, board: BoardSpec) -> CycleSeq:
             raise CycleValidationError(
                 f"cell {cell} at position {pos} outside board 1..{size}",
                 position=pos)
+        if pos and cell not in adj[cells[pos - 1]]:
+            raise CycleValidationError(
+                f"step {cells[pos - 1]}->{cell} at position {pos - 1} "
+                f"is not a knight move", position=pos - 1)
         if cell in seen:
             raise CycleValidationError(
                 f"cell {cell} repeated at position {pos}", position=pos)
         seen.add(cell)
-    for pos in range(k - 1):
-        if cells[pos + 1] not in adj[cells[pos]]:
-            raise CycleValidationError(
-                f"step {cells[pos]}->{cells[pos + 1]} at position {pos} "
-                f"is not a knight move", position=pos)
     if cells[0] not in adj[cells[-1]]:
         raise CycleValidationError(
             f"endpoints {cells[-1]} and {cells[0]} do not close the cycle",

@@ -125,10 +125,8 @@ def _dfs_one_start(board: BoardSpec, k: int, s: int, emit) -> None:
       the final max column at most (col(v) + col(s)) // 2 + remaining.  A
       column-0 cell on a row below s - 1 fails at once.
     The bottom-row and right-column extremes are read off the path at the
-    leaf, once its box is final.  Starts beyond _last_start(k) emit nothing.
+    leaf, once its box is final.
     """
-    if s > _last_start(k):
-        return
     side = board.width
     size = board.size
     adj_s = _filtered_adjacency(board, s)
@@ -354,12 +352,10 @@ def _mitm_one_pair(board: BoardSpec, k: int, s: int, t: int, emit,
 
 def _mitm_pairs_for_start(board: BoardSpec, k: int, s: int):
     """Opposite cells for start s: those above s of the colour k/2 knight
-    moves reach, and none beyond _last_start(k).  The board's side k+1 is
-    odd, so colour is the parity of the cell number.  A cell out of reach
-    is an empty shard: _half_paths_raw's distance cut fails at its root."""
-    if s > _last_start(k):
-        return []
-    return list(range(s + 2 - k // 2 % 2, board.size + 1, 2))
+    moves reach.  The board's side k+1 is odd, so colour is the parity of
+    the cell number.  A cell out of reach is an empty shard:
+    _half_paths_raw's distance cut fails at its root."""
+    return range(s + 2 - k // 2 % 2, board.size + 1, 2)
 
 
 def _run_shard(algorithm: str, k: int, simple_filter: bool,
@@ -487,13 +483,14 @@ def enumerate_cycles(k: int, algorithm: str = "dfs", *,
 
     board = BoardSpec.for_cycle_length(k)
     started = time.perf_counter()
-    # The top-row prefix 1..k/2+1; no canonical start lies past _last_start.
-    starts = range(1, k // 2 + 2)
+    # per_start keys the top-row prefix 1..k/2+1, but no canonical cycle
+    # starts past _last_start, so only the starts up to it are planned.
+    per_start = dict.fromkeys(range(1, k // 2 + 2), 0)
+    starts = range(1, _last_start(k) + 1)
     plan = {s: [(s,)] if algorithm == "dfs"
             else [(s, t) for t in _mitm_pairs_for_start(board, k, s)]
             for s in starts}
     shards = [shard for s in starts for shard in plan[s]]
-    per_start = dict.fromkeys(starts, 0)
     simple = 0
     with (tempfile.TemporaryDirectory(prefix="knightcycles-") if sink is not None
           else contextlib.nullcontext()) as shard_dir:

@@ -35,9 +35,10 @@ EXPECTED_SMALL = {4: (3, 3), 6: (25, 13), 8: (480, 178), 10: (12000, 3034)}
 
 
 def pytest_collection_modifyitems(config, items):
-    """Deselect the multi-hour longjob tests unless the -m expression names
-    them.  A command-line -m replaces pyproject's -m 'not longjob', so
-    without this, -m "not slow" would start them; -m longjob opts in."""
+    """Deselect the longjob tests (k=16 takes about 22 minutes) unless the
+    -m expression names them.  A command-line -m replaces pyproject's
+    -m 'not longjob', so without this, -m "not slow" would start them;
+    -m longjob opts in."""
     if "longjob" in config.getoption("markexpr"):
         return
     longjobs = [item for item in items if item.get_closest_marker("longjob")]

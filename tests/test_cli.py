@@ -272,6 +272,36 @@ class TestTwins:
         assert code == 0
         assert "0 twin groups among 25 cycles" in out_file.read_text()
 
+    @pytest.mark.parametrize("where, error", [
+        ("", f"[Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}"),
+        ("missing/twins.txt", f"[Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}"),
+    ])
+    def test_unusable_out_is_refused_before_enumerating(
+            self, where, error, tmp_path, capsys, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("enumerated for an unusable --out")
+
+        monkeypatch.setattr(cli, "enumerate_cycles", never)
+        out_file = os.path.join(tmp_path, where)
+        code, out, err = run_cli(capsys, "twins", "--length", "10",
+                                 "--out", out_file)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {error}: {out_file!r}\n"
+
+    def test_failed_run_leaves_an_earlier_report_intact(
+            self, tmp_path, capsys, monkeypatch):
+        def failing(*args, **kwargs):
+            raise ValueError("enumeration failed")
+
+        monkeypatch.setattr(cli, "enumerate_cycles", failing)
+        out_file = tmp_path / "twins.txt"
+        out_file.write_text("earlier report\n")
+        code, _, err = run_cli(capsys, "twins", "--length", "10",
+                               "--out", str(out_file))
+        assert (code, err) == (2, "error: enumeration failed\n")
+        assert out_file.read_text() == "earlier report\n"
+
 
 class TestRender:
     def test_ascii_to_stdout(self, capsys):

@@ -66,6 +66,13 @@ class TestValidation:
             validate_cycle((2, 9, 18, 26), board5)
         assert err.value.position == 3
 
+    def test_first_fault_wins(self, board5):
+        # 1 -> 2 is not a knight move, two positions before 30 leaves the board
+        with pytest.raises(CycleValidationError) as err:
+            validate_cycle((1, 2, 13, 30), board5)
+        assert str(err.value) == "step 1->2 at position 0 is not a knight move"
+        assert err.value.position == 0
+
 
 class TestCanonicalize:
     def test_all_equivalent_placements_share_canonical(self, board5):

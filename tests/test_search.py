@@ -221,20 +221,34 @@ class TestJoinPrefilter:
 
 class TestStartBound:
     """No canonical cycle of length k starts beyond cell 3k/8 + 1, and the
-    engines do no work there."""
+    plan holds no shard there."""
 
     @pytest.mark.parametrize("k", [4, 6, 8, 10])
     def test_every_class_starts_within_the_bound(self, k, keys_by_k):
         assert all(8 * (key[0] - 1) <= 3 * k for key in keys_by_k(k))
 
     @pytest.mark.parametrize("k", [4, 6, 8, 10, 12])
-    def test_no_shards_past_the_bound(self, k):
+    def test_no_shards_past_the_bound(self, k, monkeypatch):
+        """The plan holds every start within the bound and none past it, and
+        past it neither engine would emit anything."""
+        shards: list[tuple[int, ...]] = []
+
+        def recording(*args):
+            shards.append(args[-1])
+            return 0, 0, None
+
+        monkeypatch.setattr(search, "_run_shard", recording)
+        for algorithm in ("dfs", "mitm"):
+            shards.clear()
+            enumerate_cycles(k, algorithm, jobs=1)
+            assert {shard[0] for shard in shards} == {
+                s for s in range(1, k // 2 + 2) if 8 * (s - 1) <= 3 * k}
         board = BoardSpec.for_cycle_length(k)
         for s in range(1, k // 2 + 2):
-            pairs = _mitm_pairs_for_start(board, k, s)
-            assert (pairs == []) == (8 * (s - 1) > 3 * k)
             if 8 * (s - 1) > 3 * k:
                 assert _dfs_emissions(board, k, s) == []
+                assert all(_pair_emissions(board, k, s, t) == []
+                           for t in _mitm_pairs_for_start(board, k, s))
 
     @pytest.mark.parametrize("k, classes", [(8, 6), (10, 63)])
     def test_tight_at_start_4(self, k, classes, keys_by_k):
@@ -365,7 +379,7 @@ class TestEngineExtremes:
         assert enumerate_cycles(k, algorithm, jobs=1).total == 480
         board = BoardSpec.for_cycle_length(k)
         half_paths = sum(len(_half_paths_raw(board, k, s, t))
-                         for s in range(1, k // 2 + 2)
+                         for s in range(1, search._last_start(k) + 1)
                          for t in _mitm_pairs_for_start(board, k, s))
         assert calls == (0 if algorithm == "dfs" else half_paths)
 
@@ -568,7 +582,7 @@ class TestStreaming:
                 runs.append((summary.total, summary.per_start, out))
             # The second half of the file is the jobs=2 run's finishing order.
             with open(finished) as fh:
-                order = [int(line) for line in fh][5:]
+                order = [int(line) for line in fh][4:]
             print(order != sorted(order), runs[0] == runs[1], runs[1][0])
         """, tmp_path)
         assert (code, out) == (0, "True True 480\n"), err
@@ -710,7 +724,7 @@ class TestFailureModes:
             try:
                 search.enumerate_cycles(8, "dfs", jobs=2, sink=lambda seq: None)
             except search.ShardLostError as exc:
-                plan = [(s,) for s in range(1, 6)]
+                plan = [(s,) for s in range(1, 5)]
                 tail = plan[len(plan) - len(exc.shards):]
                 print(exc.shards == tail and (2,) in tail,
                       os.listdir(sys.argv[1]))
