@@ -91,8 +91,7 @@ def verify_tables(k_max: int, algorithm: str = "both", jobs: int = 1):
     """Re-enumerate every length up to k_max and yield one VerificationRow
     per (length, engine), each as soon as its enumeration returns.  A bad
     k_max raises ValueError on the first next(), before any enumeration."""
-    if k_max not in EXPECTED_COUNTS:
-        raise ValueError(f"max length must be even and within 4..16, got {k_max}")
+    BoardSpec.for_cycle_length(k_max)
     algorithms = ("dfs", "mitm") if algorithm == "both" else (algorithm,)
     for k in range(4, k_max + 2, 2):
         expected_total, expected_simple = EXPECTED_COUNTS[k]
@@ -113,6 +112,15 @@ class ParseError(ValueError):
         self.line = line
 
 
+def check_output_path(path) -> None:
+    """Refuse a directory or a missing parent directory at path now, as
+    creating the file would after a long enumeration; opens nothing."""
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    if not os.path.isdir(os.path.dirname(path) or "."):
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+
+
 class CycleFileWriter:
     """Streaming writer for the cycle file format.
 
@@ -122,13 +130,11 @@ class CycleFileWriter:
     """
 
     def __init__(self, path, k: int, filter_tag: str = "all"):
-        if k not in EXPECTED_COUNTS:  # the reader's rule: fail before enumerating
-            raise ValueError(f"no listing for length k={k}: want an even k within 4..16")
+        BoardSpec.for_cycle_length(k)  # the reader's rule: fail before enumerating
         if filter_tag not in ("all", "simple"):
             raise ValueError(f"filter tag must be 'all' or 'simple', got {filter_tag!r}")
         self.path = os.fspath(path)
-        if os.path.isdir(self.path):  # fail before the enumeration, not after
-            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), self.path)
+        check_output_path(self.path)
         self.k = k
         self.filter_tag = filter_tag
         self.count = 0
@@ -230,7 +236,7 @@ def read_cycle_header(line: str) -> CycleFileHeader:
     fields = dict(part.partition("=")[::2] for part in line.split(" "))
     with contextlib.suppress(KeyError, ValueError):  # a field missing or not a number
         k, count, tag = int(fields["k"]), int(fields["count"]), fields["filter"]
-        if (k in EXPECTED_COUNTS and count >= 0 and tag in ("all", "simple")
+        if (count >= 0 and tag in ("all", "simple")
                 and line == _header_line(k, count, tag)):
             return CycleFileHeader(k, BoardSpec.for_cycle_length(k), count, tag)
     raise ParseError(f"bad header {line!r}: want the writer's header for an "

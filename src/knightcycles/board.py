@@ -40,8 +40,10 @@ class BoardSpec:
 
     @classmethod
     def for_cycle_length(cls, k: int) -> "BoardSpec":
-        """The (k+1) x (k+1) board, large enough for every closed path of
-        length k (a closed walk of k knight moves spans at most k+1 rows)."""
+        """The (k+1) x (k+1) board (k knight moves span at most k+1 rows), for
+        the one rule on cycle lengths: k even within 4..16."""
+        if k % 2 or not 4 <= k <= 16:
+            raise ValueError(f"no cycle length k={k}: want an even k within 4..16")
         return cls(k + 1)
 
 

@@ -9,13 +9,13 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import errno
 import os
 import sys
 
 from .analysis import (
     CycleFileWriter,
     ParseError,
+    check_output_path,
     group_geometric_twins,
     open_listing,
     read_cycle_header,
@@ -135,12 +135,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_twins(args) -> int:
     if args.out:
-        # Refuse now what open() would refuse after the enumeration, without
-        # opening the path: a failed run leaves an earlier report intact.
-        if os.path.isdir(args.out):
-            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), args.out)
-        if not os.path.isdir(os.path.dirname(args.out) or "."):
-            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), args.out)
+        check_output_path(args.out)
     collected: list[tuple[int, ...]] = []
     enumerate_cycles(args.length, "dfs", jobs=args.jobs,
                      sink=collected.append)

@@ -168,7 +168,7 @@ def _symmetry_tables(side: int) -> tuple[tuple[int, ...], ...]:
     return tuple((0,) + tuple(r * side + c + 1 for r, c in image) for image in images)
 
 
-# Beyond any row or column of a board that a cycle of length <= 16 uses.
+# Beyond any row or column of a for_cycle_length board (k <= 16, side <= 17).
 _FAR = 1 << 10
 
 

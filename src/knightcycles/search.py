@@ -472,8 +472,7 @@ def enumerate_cycles(k: int, algorithm: str = "dfs", *,
     start at a time, as soon as its last shard is in: canonical sequences in
     strictly ascending order, identical for every jobs value.
     """
-    if k % 2 != 0 or k < 4:
-        raise ValueError(f"cycle length must be an even number >= 4, got {k}")
+    board = BoardSpec.for_cycle_length(k)
     if algorithm not in ("dfs", "mitm"):
         raise ValueError(f"unknown algorithm {algorithm!r}")
     if jobs < 1:
@@ -481,12 +480,9 @@ def enumerate_cycles(k: int, algorithm: str = "dfs", *,
     if emit_only_simple and not simple_filter:
         raise ValueError("emit_only_simple requires simple_filter")
 
-    board = BoardSpec.for_cycle_length(k)
     started = time.perf_counter()
-    # per_start keys the top-row prefix 1..k/2+1, but no canonical cycle
-    # starts past _last_start, so only the starts up to it are planned.
-    per_start = dict.fromkeys(range(1, k // 2 + 2), 0)
     starts = range(1, _last_start(k) + 1)
+    per_start = dict.fromkeys(starts, 0)
     plan = {s: [(s,)] if algorithm == "dfs"
             else [(s, t) for t in _mitm_pairs_for_start(board, k, s)]
             for s in starts}
@@ -496,9 +492,10 @@ def enumerate_cycles(k: int, algorithm: str = "dfs", *,
           else contextlib.nullcontext()) as shard_dir:
         run = partial(_run_shard, algorithm, k, simple_filter, emit_only_simple,
                       shard_dir)
+        workers = min(jobs, len(shards), os.cpu_count() or 1)
         with contextlib.closing(
                 (run(shard) for shard in shards) if jobs == 1
-                else _run_in_pool(run, shards, min(jobs, len(shards)))) as results:
+                else _run_in_pool(run, shards, workers)) as results:
             # Results come in plan order and all of start s sorts below start
             # s + 1, so each start drains as soon as its last shard is in.
             for s in starts:

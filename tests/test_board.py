@@ -1,5 +1,6 @@
 import pytest
 
+from knightcycles.analysis import EXPECTED_COUNTS
 from knightcycles.board import (
     BoardSpec,
     DIHEDRAL_ELEMENTS,
@@ -47,6 +48,21 @@ class TestIndexing:
             BoardSpec.square(0)
         with pytest.raises(TypeError):  # square boards only
             BoardSpec(5, 7)
+
+    def test_cycle_lengths_are_those_of_the_reference_table(self):
+        """for_cycle_length is the one rule for k: it builds the (k+1)x(k+1)
+        board exactly for the lengths of the reference count table."""
+        accepted = []
+        for k in range(-2, 41):
+            try:
+                board = BoardSpec.for_cycle_length(k)
+            except ValueError as exc:
+                assert str(exc) == (
+                    f"no cycle length k={k}: want an even k within 4..16")
+            else:
+                assert board == BoardSpec.square(k + 1)
+                accepted.append(k)
+        assert accepted == sorted(EXPECTED_COUNTS)
 
 
 class TestKnightMoves:

@@ -11,7 +11,7 @@ import pytest
 
 import knightcycles
 from knightcycles.analysis import write_cycles
-from knightcycles import analysis, cli
+from knightcycles import analysis, cli, search
 from knightcycles.cli import main, _default_jobs
 from conftest import MINIMAL_K8_W5
 
@@ -43,6 +43,21 @@ class TestCount:
         code, _, err = run_cli(capsys, "count", "--length", "7")
         assert code == 2
         assert "even" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("count", "--length", "18"),
+        ("twins", "--length", "18"),
+        ("verify", "--max-length", "18"),
+    ], ids=lambda argv: argv[0])
+    def test_length_past_16_is_usage_error(self, argv, capsys, monkeypatch):
+        def never(*args):
+            raise AssertionError("planned or ran a shard for k=18")
+
+        monkeypatch.setattr(search, "_run_shard", never)
+        monkeypatch.setattr(search, "_mitm_pairs_for_start", never)
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == "error: no cycle length k=18: want an even k within 4..16\n"
 
 
 class TestListAndCheck:
@@ -84,6 +99,19 @@ class TestListAndCheck:
         assert os.strerror(errno.EISDIR) in err
         assert ".knightcycles-body-" not in err
         assert not list(tmp_path.rglob(".knightcycles-*"))
+
+    def test_list_into_a_missing_directory_names_the_out_path(
+            self, tmp_path, capsys, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("enumerated for an unusable --out")
+
+        monkeypatch.setattr(cli, "enumerate_cycles", never)
+        out_file = os.path.join(tmp_path, "nope", "x.cycles")
+        code, out, err = run_cli(capsys, "list", "--length", "8", "--out", out_file)
+        assert (code, out) == (2, "")
+        assert err == (f"error: [Errno {errno.ENOENT}] "
+                       f"{os.strerror(errno.ENOENT)}: {out_file!r}\n")
+        assert list(tmp_path.iterdir()) == []
 
     def test_list_refuses_a_length_the_reader_refuses(self, tmp_path, capsys,
                                                        monkeypatch):

@@ -108,12 +108,14 @@ def _run_child(script: str, tmp_path, timeout: float = 60):
 
 
 class TestStartSet:
-    """The start cells 1..k/2+1, as the keys of the per-start counts."""
+    """The per-start counts are keyed by the planned starts 1..3k/8+1
+    (search._last_start), for an even k within 4..16, the one length rule
+    of BoardSpec.for_cycle_length."""
 
     def test_values(self):
-        assert tuple(enumerate_cycles(6).per_start) == (1, 2, 3, 4)
-        assert tuple(enumerate_cycles(4).per_start) == (1, 2, 3)
-        assert tuple(enumerate_cycles(8, "mitm").per_start) == (1, 2, 3, 4, 5)
+        assert tuple(enumerate_cycles(4).per_start) == (1, 2)
+        assert tuple(enumerate_cycles(6).per_start) == (1, 2, 3)
+        assert tuple(enumerate_cycles(8, "mitm").per_start) == (1, 2, 3, 4)
 
     @pytest.mark.parametrize("bad", [3, 5, 2, 0, -4])
     def test_rejects_bad_lengths(self, bad):
@@ -403,12 +405,19 @@ class TestEngineCounts:
         assert enumerate_cycles(4, "dfs", jobs=1).simple is None
         assert enumerate_cycles(4, "mitm", jobs=1).simple is None
 
-    @pytest.mark.parametrize("bad", [3, 2, 0])
-    def test_bad_length(self, bad):
-        with pytest.raises(ValueError):
-            enumerate_cycles(bad, "dfs", jobs=1)
-        with pytest.raises(ValueError):
-            enumerate_cycles(bad, "mitm", jobs=1)
+    @pytest.mark.parametrize("bad", [3, 2, 0, 18, 100000])
+    def test_bad_length(self, bad, monkeypatch):
+        """Refused before any shard is planned or run (k=18 would run for
+        days, k=100000 out of memory)."""
+        def never(*args):
+            raise AssertionError(f"planned or ran a shard for k={bad}")
+
+        monkeypatch.setattr(search, "_run_shard", never)
+        monkeypatch.setattr(search, "_mitm_pairs_for_start", never)
+        for algorithm in ("dfs", "mitm"):
+            with pytest.raises(ValueError, match=(
+                    f"^no cycle length k={bad}: want an even k within 4..16$")):
+                enumerate_cycles(bad, algorithm, jobs=1)
 
 
 class TestEngineAgreement:
@@ -497,6 +506,26 @@ class TestParallelDriver:
         enumerate_cycles(8, "mitm", jobs=2, sink=listing.append)
         assert listing == sorted(listing)
         assert len(listing) == 480
+
+    @pytest.mark.parametrize("cores, workers", [(3, 3), (None, 1)])
+    def test_workers_are_capped_at_the_core_count(
+            self, cores, workers, monkeypatch):
+        """--jobs 1000 asks for no more workers than the host has cores; the
+        stand-in pool records its size and raises, so no process starts."""
+        import concurrent.futures
+
+        asked = []
+
+        class NoPool:
+            def __init__(self, max_workers, **kwargs):
+                asked.append(max_workers)
+                raise OSError("no pool in this test")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", NoPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: cores)
+        with pytest.raises(OSError, match="no pool"):
+            enumerate_cycles(12, "mitm", jobs=1000)  # 414 shards
+        assert asked == [workers]
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
