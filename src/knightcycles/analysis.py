@@ -8,6 +8,7 @@ import errno
 import os
 import re
 import shutil
+import stat
 import tempfile
 from dataclasses import dataclass
 
@@ -113,11 +114,12 @@ class ParseError(ValueError):
 
 
 def check_output_path(path) -> None:
-    """Refuse a directory or a missing parent directory at path now, as
-    creating the file would after a long enumeration; opens nothing."""
+    """Refuse an empty path, a directory or a missing parent directory at
+    path now, as creating the file would after a long enumeration; opens
+    nothing."""
     if os.path.isdir(path):
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
-    if not os.path.isdir(os.path.dirname(path) or "."):
+    if not path or not os.path.isdir(os.path.dirname(path) or "."):
         raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
 
 
@@ -135,12 +137,18 @@ class CycleFileWriter:
             raise ValueError(f"filter tag must be 'all' or 'simple', got {filter_tag!r}")
         self.path = os.fspath(path)
         check_output_path(self.path)
+        # Stage beside the file a symlink names, so the link survives; refuse
+        # to replace a pipe or a device with a regular file.
+        self._target = os.path.realpath(self.path)
+        with contextlib.suppress(FileNotFoundError):
+            if not stat.S_ISREG(os.stat(self._target).st_mode):
+                raise OSError(f"not a regular file: {self.path!r}")
         self.k = k
         self.filter_tag = filter_tag
         self.count = 0
         self._last: tuple[int, ...] | None = None
         self._body = tempfile.NamedTemporaryFile(
-            "w+", dir=os.path.dirname(self.path) or ".",
+            "w+", dir=os.path.dirname(self._target),
             prefix=".knightcycles-body-", delete=False)
 
     def write(self, cells) -> None:
@@ -169,7 +177,7 @@ class CycleFileWriter:
                 with open(fd, "w", newline="\n") as out:
                     out.write(_header_line(self.k, self.count, self.filter_tag) + "\n")
                     shutil.copyfileobj(self._body, out)
-                os.replace(staged, self.path)
+                os.replace(staged, self._target)
             except BaseException:
                 os.unlink(staged)
                 raise

@@ -2,14 +2,12 @@
 
 Exit codes: 0 success, 1 verification/validation failure or a lost worker,
 2 usage error.
-KNIGHT_CYCLES_JOBS sets the default worker count; --jobs wins.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import os
 import sys
 
 from .analysis import (
@@ -32,17 +30,9 @@ USAGE_ERROR = 2
 FAILURE = 1
 
 
-def _default_jobs() -> int:
-    env = os.environ.get("KNIGHT_CYCLES_JOBS", "")
-    try:
-        return max(1, int(env))
-    except ValueError:
-        return 1
-
-
 def _add_jobs_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--jobs", type=int, default=_default_jobs(), metavar="N",
-                        help="parallel workers (default: KNIGHT_CYCLES_JOBS or 1)")
+    parser.add_argument("--jobs", type=int, default=1, metavar="N",
+                        help="parallel workers (default: 1)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -156,9 +146,8 @@ def _cmd_render(args) -> int:
     try:
         cells = tuple(int(x) for x in args.seq.replace(",", " ").split())
     except ValueError:
-        print(f"--seq must be comma-separated integers, got {args.seq!r}",
-              file=sys.stderr)
-        return USAGE_ERROR
+        raise ValueError(
+            f"--seq must be comma-separated integers, got {args.seq!r}") from None
     if args.width > 64:  # the largest listing board is 17; tables grow as W^2
         raise ValueError(f"--width must be at most 64, got {args.width}")
     board = BoardSpec.square(args.width)

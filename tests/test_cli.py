@@ -3,6 +3,7 @@ import os
 import re
 import select
 import signal
+import stat
 import subprocess
 import sys
 import textwrap
@@ -12,7 +13,7 @@ import pytest
 import knightcycles
 from knightcycles.analysis import write_cycles
 from knightcycles import analysis, cli, search
-from knightcycles.cli import main, _default_jobs
+from knightcycles.cli import main
 from conftest import MINIMAL_K8_W5
 
 
@@ -58,6 +59,16 @@ class TestCount:
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, "")
         assert err == "error: no cycle length k=18: want an even k within 4..16\n"
+
+    def test_workers_come_only_from_the_jobs_flag(self, capsys, monkeypatch):
+        def never(*args):
+            raise AssertionError("started a pool without --jobs")
+
+        monkeypatch.setenv("KNIGHT_CYCLES_JOBS", "3")
+        monkeypatch.setattr(search, "_run_in_pool", never)
+        code, out, _ = run_cli(capsys, "count", "--length", "6")
+        assert code == 0
+        assert "total=25" in out
 
 
 class TestListAndCheck:
@@ -112,6 +123,37 @@ class TestListAndCheck:
         assert err == (f"error: [Errno {errno.ENOENT}] "
                        f"{os.strerror(errno.ENOENT)}: {out_file!r}\n")
         assert list(tmp_path.iterdir()) == []
+
+    def test_list_through_a_symlink_writes_its_target(self, tmp_path, capsys):
+        plain, real, link = (tmp_path / name for name in
+                             ("plain.cycles", "real.txt", "link.cycles"))
+        real.write_text("earlier text\n")
+        link.symlink_to(real)
+        for out_file in (plain, link):
+            assert run_cli(capsys, "list", "--length", "4",
+                           "--out", str(out_file))[0] == 0
+        assert link.is_symlink()
+        assert real.read_bytes() == plain.read_bytes()
+
+    @pytest.mark.parametrize("name, error", [
+        ("pipe.cycles", "not a regular file"),
+        ("", f"[Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}"),
+    ], ids=["fifo", "empty"])
+    def test_list_refuses_a_pipe_or_an_empty_path_before_enumerating(
+            self, name, error, tmp_path, capsys, monkeypatch):
+        def never(*args):
+            raise AssertionError("enumerated for an unusable --out")
+
+        monkeypatch.setattr(search, "_run_shard", never)
+        monkeypatch.chdir(tmp_path)
+        if name:
+            os.mkfifo(name)
+        code, out, err = run_cli(capsys, "list", "--length", "8", "--out", name)
+        assert (code, out) == (2, "")
+        assert err == f"error: {error}: {name!r}\n"
+        if name:
+            assert stat.S_ISFIFO(os.lstat(name).st_mode)
+        assert os.listdir() == ([name] if name else [])
 
     def test_list_refuses_a_length_the_reader_refuses(self, tmp_path, capsys,
                                                        monkeypatch):
@@ -356,6 +398,7 @@ class TestRender:
         code, _, err = run_cli(capsys, "render", "--seq", "a,b", "--width", "5")
         assert code == 2
         assert "comma-separated" in err
+        assert err == "error: --seq must be comma-separated integers, got 'a,b'\n"
 
     def test_width_is_checked_before_any_board_table(self, capsys, monkeypatch):
         """A board table grows with W^2, so a mistyped width is refused
@@ -370,19 +413,3 @@ class TestRender:
         assert code == 2
         assert out == ""
         assert err == "error: --width must be at most 64, got 1000000\n"
-
-
-class TestJobsEnvironment:
-    def test_env_default(self, monkeypatch):
-        monkeypatch.setenv("KNIGHT_CYCLES_JOBS", "3")
-        assert _default_jobs() == 3
-
-    def test_env_garbage_falls_back(self, monkeypatch):
-        monkeypatch.setenv("KNIGHT_CYCLES_JOBS", "many")
-        assert _default_jobs() == 1
-
-    def test_env_used_by_command(self, capsys, monkeypatch):
-        monkeypatch.setenv("KNIGHT_CYCLES_JOBS", "2")
-        code, out, _ = run_cli(capsys, "count", "--length", "6")
-        assert code == 0
-        assert "total=25" in out
