@@ -8,7 +8,6 @@ import errno
 import os
 import re
 import shutil
-import stat
 import tempfile
 from dataclasses import dataclass
 
@@ -113,22 +112,42 @@ class ParseError(ValueError):
         self.line = line
 
 
-def check_output_path(path) -> None:
-    """Refuse an empty path, a directory or a missing parent directory at
-    path now, as creating the file would after a long enumeration; opens
-    nothing."""
-    if os.path.isdir(path):
+def check_output_path(path: str) -> str:
+    """Refuse now, naming ``path``, an empty path, a directory, a missing parent
+    directory or any other non-regular file (a pipe, a device, a symlink loop).
+    Return the file to replace: the one a symlink names, so the link survives."""
+    target = os.path.realpath(path) if path else ""
+    if os.path.isdir(target):
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
-    if not path or not os.path.isdir(os.path.dirname(path) or "."):
+    if not os.path.isdir(os.path.dirname(target)):
         raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+    if os.path.lexists(target) and not os.path.isfile(target):
+        raise OSError(f"not a regular file: {path!r}")
+    return target
+
+
+@contextlib.contextmanager
+def publish(target: str):
+    """Yield a text file staged beside ``target``, new under mktemp's name
+    (O_EXCL) with the mode open(target, "w") gives.  A clean exit renames it
+    over target in one step; an error removes it, keeping any earlier file."""
+    staged = tempfile.mktemp(prefix=".knightcycles-", dir=os.path.dirname(target))
+    fd = os.open(staged, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with open(fd, "w", newline="\n") as out:
+            yield out
+        os.replace(staged, target)
+    except BaseException:
+        os.unlink(staged)
+        raise
 
 
 class CycleFileWriter:
     """Streaming writer for the cycle file format.
 
-    Body lines are spooled to a temporary file so the header can carry the
-    final count; cycles must arrive strictly ascending.  Use as a context
-    manager and feed ``write`` (it is sink-compatible with the engines).
+    Body lines are spooled to an unnamed file beside the target so the header
+    can carry the final count; cycles must arrive strictly ascending.  Use as
+    a context manager and feed ``write`` (it is sink-compatible with the engines).
     """
 
     def __init__(self, path, k: int, filter_tag: str = "all"):
@@ -136,20 +155,12 @@ class CycleFileWriter:
         if filter_tag not in ("all", "simple"):
             raise ValueError(f"filter tag must be 'all' or 'simple', got {filter_tag!r}")
         self.path = os.fspath(path)
-        check_output_path(self.path)
-        # Stage beside the file a symlink names, so the link survives; refuse
-        # to replace a pipe or a device with a regular file.
-        self._target = os.path.realpath(self.path)
-        with contextlib.suppress(FileNotFoundError):
-            if not stat.S_ISREG(os.stat(self._target).st_mode):
-                raise OSError(f"not a regular file: {self.path!r}")
+        self._target = check_output_path(self.path)
         self.k = k
         self.filter_tag = filter_tag
         self.count = 0
         self._last: tuple[int, ...] | None = None
-        self._body = tempfile.NamedTemporaryFile(
-            "w+", dir=os.path.dirname(self._target),
-            prefix=".knightcycles-body-", delete=False)
+        self._body = tempfile.TemporaryFile("w+", dir=os.path.dirname(self._target))
 
     def write(self, cells) -> None:
         cells = tuple(cells)
@@ -163,33 +174,17 @@ class CycleFileWriter:
         self._body.write(" ".join(map(str, cells)) + "\n")
 
     def close(self) -> None:
-        """Publish the listing.  Header and body go to a staging file beside
-        the target, which then replaces it in one step, so a failure part-way
+        """Publish header and body through publish(): a failure part-way
         leaves any earlier listing at the path intact."""
-        # Unique while the body file exists; O_EXCL refuses a stray file.
-        staged = self._body.name + ".listing"
-        try:
-            self._body.flush()
+        with self._body:
             self._body.seek(0)
-            # Mode 0o666 less the umask, as open(path, "w") would create it.
-            fd = os.open(staged, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-            try:
-                with open(fd, "w", newline="\n") as out:
-                    out.write(_header_line(self.k, self.count, self.filter_tag) + "\n")
-                    shutil.copyfileobj(self._body, out)
-                os.replace(staged, self._target)
-            except BaseException:
-                os.unlink(staged)
-                raise
-        finally:
-            self.abort()
+            with publish(self._target) as out:
+                out.write(_header_line(self.k, self.count, self.filter_tag) + "\n")
+                shutil.copyfileobj(self._body, out)
 
     def abort(self) -> None:
-        """Drop the spooled body without publishing; a no-op once close()
-        or abort() has run, whether close() succeeded or not."""
-        if not self._body.closed:
-            self._body.close()
-            os.unlink(self._body.name)
+        """Drop the spooled body unpublished; a no-op after close() or abort()."""
+        self._body.close()
 
     def __enter__(self) -> "CycleFileWriter":
         return self

@@ -16,6 +16,7 @@ from .analysis import (
     check_output_path,
     group_geometric_twins,
     open_listing,
+    publish,
     read_cycle_header,
     read_cycles,
     render,
@@ -123,15 +124,19 @@ def _cmd_verify(args) -> int:
     return FAILURE
 
 
+def _output_to(out):
+    """Check --out now; the output goes to stdout, or to a file published there."""
+    return (contextlib.nullcontext(sys.stdout) if out is None
+            else publish(check_output_path(out)))
+
+
 def _cmd_twins(args) -> int:
-    if args.out:
-        check_output_path(args.out)
+    output = _output_to(args.out)
     collected: list[tuple[int, ...]] = []
-    enumerate_cycles(args.length, "dfs", jobs=args.jobs,
+    enumerate_cycles(args.length, "mitm", jobs=args.jobs,
                      sink=collected.append)
     groups = group_geometric_twins(collected)
-    with (open(args.out, "w") if args.out
-          else contextlib.nullcontext(sys.stdout)) as out:
+    with output as out:
         for group in groups:
             out.write("cells " + " ".join(map(str, group.key)) + "\n")
             for member in group.members:
@@ -143,6 +148,7 @@ def _cmd_twins(args) -> int:
 
 
 def _cmd_render(args) -> int:
+    output = _output_to(args.out)
     try:
         cells = tuple(int(x) for x in args.seq.replace(",", " ").split())
     except ValueError:
@@ -153,8 +159,7 @@ def _cmd_render(args) -> int:
     board = BoardSpec.square(args.width)
     cycle = validate_cycle(cells, board)
     document = render(cycle, args.format)
-    with (open(args.out, "w") if args.out
-          else contextlib.nullcontext(sys.stdout)) as out:
+    with output as out:
         out.write(document)
     return 0
 

@@ -23,6 +23,37 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def make_unusable_out(path):
+    """Put a FIFO at a path named pipe.*, a symlink into a missing directory
+    at one named link.* and a symlink to itself at one named loop.*; leave
+    any other path alone."""
+    name = os.path.basename(path)
+    if name.startswith("pipe."):
+        os.mkfifo(path)
+    elif name.startswith("link."):
+        os.symlink(os.path.join("missing", "x"), path)
+    elif name.startswith("loop."):
+        os.symlink(name, path)
+
+
+def never(*args, **kwargs):
+    raise AssertionError("worked for an unusable --out")
+
+
+def fail_enumeration(*args, **kwargs):
+    raise ValueError("run failed")
+
+
+def groups_failing_part_way(cycles):
+    """Twin groups whose iteration fails after one group is written."""
+    yield analysis.TwinGroup(key=(1, 2), members=((1, 2), (2, 1)))
+    raise ValueError("run failed")
+
+
+RENDER_K8 = ("render", "--seq", ",".join(map(str, MINIMAL_K8_W5)), "--width", "5")
+ENOENT = f"[Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}"
+
+
 class TestCount:
     def test_output_shape(self, capsys):
         code, out, _ = run_cli(capsys, "count", "--length", "6")
@@ -124,34 +155,34 @@ class TestListAndCheck:
                        f"{os.strerror(errno.ENOENT)}: {out_file!r}\n")
         assert list(tmp_path.iterdir()) == []
 
-    def test_list_through_a_symlink_writes_its_target(self, tmp_path, capsys):
+    @pytest.mark.parametrize("argv", [
+        ("list", "--length", "4"), ("twins", "--length", "6"), RENDER_K8,
+    ], ids=lambda argv: argv[0])
+    def test_out_through_a_symlink_writes_its_target(self, argv, tmp_path, capsys):
         plain, real, link = (tmp_path / name for name in
-                             ("plain.cycles", "real.txt", "link.cycles"))
+                             ("plain.out", "real.txt", "link.out"))
         real.write_text("earlier text\n")
         link.symlink_to(real)
         for out_file in (plain, link):
-            assert run_cli(capsys, "list", "--length", "4",
-                           "--out", str(out_file))[0] == 0
+            assert run_cli(capsys, *argv, "--out", str(out_file))[0] == 0
         assert link.is_symlink()
         assert real.read_bytes() == plain.read_bytes()
 
     @pytest.mark.parametrize("name, error", [
         ("pipe.cycles", "not a regular file"),
-        ("", f"[Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}"),
-    ], ids=["fifo", "empty"])
+        ("link.cycles", ENOENT),
+        ("loop.cycles", "not a regular file"),
+        ("", ENOENT),
+    ], ids=["fifo", "dangling-link", "symlink-loop", "empty"])
     def test_list_refuses_a_pipe_or_an_empty_path_before_enumerating(
             self, name, error, tmp_path, capsys, monkeypatch):
-        def never(*args):
-            raise AssertionError("enumerated for an unusable --out")
-
         monkeypatch.setattr(search, "_run_shard", never)
         monkeypatch.chdir(tmp_path)
-        if name:
-            os.mkfifo(name)
+        make_unusable_out(name)
         code, out, err = run_cli(capsys, "list", "--length", "8", "--out", name)
         assert (code, out) == (2, "")
         assert err == f"error: {error}: {name!r}\n"
-        if name:
+        if name.startswith("pipe."):
             assert stat.S_ISFIFO(os.lstat(name).st_mode)
         assert os.listdir() == ([name] if name else [])
 
@@ -344,33 +375,38 @@ class TestTwins:
 
     @pytest.mark.parametrize("where, error", [
         ("", f"[Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}"),
-        ("missing/twins.txt", f"[Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}"),
+        ("missing/twins.txt", ENOENT),
+        ("pipe.txt", "not a regular file"),
+        ("link.txt", ENOENT),
     ])
     def test_unusable_out_is_refused_before_enumerating(
             self, where, error, tmp_path, capsys, monkeypatch):
-        def never(*args, **kwargs):
-            raise AssertionError("enumerated for an unusable --out")
-
         monkeypatch.setattr(cli, "enumerate_cycles", never)
         out_file = os.path.join(tmp_path, where)
+        make_unusable_out(out_file)
         code, out, err = run_cli(capsys, "twins", "--length", "10",
                                  "--out", out_file)
         assert code == 2
         assert out == ""
         assert err == f"error: {error}: {out_file!r}\n"
+        if where.startswith("pipe."):
+            assert stat.S_ISFIFO(os.lstat(out_file).st_mode)
+        assert not list(tmp_path.rglob(".knightcycles-*"))
 
+    @pytest.mark.parametrize("stage, failing", [
+        ("enumerate_cycles", fail_enumeration),
+        ("group_geometric_twins", groups_failing_part_way),
+    ], ids=["enumerate_cycles", "group_geometric_twins"])
     def test_failed_run_leaves_an_earlier_report_intact(
-            self, tmp_path, capsys, monkeypatch):
-        def failing(*args, **kwargs):
-            raise ValueError("enumeration failed")
-
-        monkeypatch.setattr(cli, "enumerate_cycles", failing)
+            self, stage, failing, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, stage, failing)
         out_file = tmp_path / "twins.txt"
         out_file.write_text("earlier report\n")
-        code, _, err = run_cli(capsys, "twins", "--length", "10",
+        code, _, err = run_cli(capsys, "twins", "--length", "6",
                                "--out", str(out_file))
-        assert (code, err) == (2, "error: enumeration failed\n")
+        assert (code, err) == (2, "error: run failed\n")
         assert out_file.read_text() == "earlier report\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["twins.txt"]
 
 
 class TestRender:
@@ -388,6 +424,22 @@ class TestRender:
                              "--out", str(out_file))
         assert code == 0
         assert out_file.read_text().startswith("<svg ")
+
+    @pytest.mark.parametrize("where, error", [
+        ("pipe.svg", "not a regular file"),
+        ("link.svg", ENOENT),
+    ])
+    def test_unusable_out_is_refused_before_any_work(
+            self, where, error, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "validate_cycle", never)
+        out_file = os.path.join(tmp_path, where)
+        make_unusable_out(out_file)
+        code, out, err = run_cli(capsys, *RENDER_K8, "--out", out_file)
+        assert (code, out) == (2, "")
+        assert err == f"error: {error}: {out_file!r}\n"
+        if where.startswith("pipe."):
+            assert stat.S_ISFIFO(os.lstat(out_file).st_mode)
+        assert not list(tmp_path.rglob(".knightcycles-*"))
 
     def test_invalid_sequence_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "render", "--seq", "1,2,3,4",
