@@ -50,16 +50,13 @@ def group_geometric_twins(cycles) -> list[TwinGroup]:
     by the engines); members within a group come out sorted.
     """
     groups: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    length: int | None = None
-    for cells in cycles:
-        cells = tuple(cells)
-        if length is None:
-            length = len(cells)
-        elif len(cells) != length:
+    board: BoardSpec | None = None
+    for cells in map(tuple, cycles):
+        board = board or BoardSpec.for_cycle_length(len(cells))  # the first cycle's
+        if len(cells) != board.width - 1:
             raise ValueError(
-                f"mixed cycle lengths: expected {length}, got {len(cells)}")
-        cycle = CycleSeq(cells, BoardSpec.for_cycle_length(len(cells)))
-        groups.setdefault(canonical_cell_set(cycle), []).append(cells)
+                f"mixed cycle lengths: expected {board.width - 1}, got {len(cells)}")
+        groups.setdefault(canonical_cell_set(CycleSeq(cells, board)), []).append(cells)
     return [TwinGroup(key, tuple(sorted(members)))
             for key, members in sorted(groups.items())
             if len(members) >= 2]

@@ -116,6 +116,4 @@ def normalize_translation(points: list[Coord]) -> list[Coord]:
         raise ValueError("cannot normalize an empty point list")
     min_r = min(p[0] for p in points)
     min_c = min(p[1] for p in points)
-    if min_r == 0 and min_c == 0:
-        return list(points)
     return [(r - min_r, c - min_c) for r, c in points]

@@ -89,13 +89,6 @@ def validate_cycle(cells, board: BoardSpec) -> CycleSeq:
     return CycleSeq(cells, board)
 
 
-def _normalized_images(coords: list[Coord]):
-    """Yield the 8 symmetry images of ``coords``, each translation-normalized,
-    with the points in their original order."""
-    for element in DIHEDRAL_ELEMENTS:
-        yield normalize_translation(apply_dihedral(coords, element))
-
-
 def _canonical_coords(coords: list[Coord]) -> tuple[Coord, ...]:
     """Canonical placement of a cycle, as coordinates.
 
@@ -106,7 +99,8 @@ def _canonical_coords(coords: list[Coord]) -> tuple[Coord, ...]:
     matches comparing cell indices on any board the placement fits.
     """
     candidates = []
-    for pts in _normalized_images(coords):
+    for element in DIHEDRAL_ELEMENTS:
+        pts = normalize_translation(apply_dihedral(coords, element))
         j = pts.index(min(pts))
         ring = pts[j:] + pts[:j]
         candidates.append(tuple(ring))
@@ -144,12 +138,23 @@ def is_minimal(cycle: CycleSeq) -> bool:
 
 
 def canonical_cell_set(cycle: CycleSeq) -> tuple[int, ...]:
-    """Symmetry-minimized visited-cell set, ascending, indexed on the
-    standard (k+1) x (k+1) board.  Cycles tracing non-congruent polygons over
-    congruent cell sets share this key; it is what twin detection groups by."""
-    board = BoardSpec.for_cycle_length(len(cycle))
-    return min(tuple(sorted(index_of(p, board) for p in pts))
-               for pts in _normalized_images(cycle.coords()))
+    """The visited cells of a cycle on any board, on the standard (k+1) x (k+1)
+    board, ascending and minimized over symmetry: the least of the 8 images'
+    sorted cell sets under _symmetry_tables, each shifted by the least image of
+    the placement's 4 box corners.  Twin detection groups cycles by this key."""
+    side, cells = len(cycle) + 1, cycle.cells
+    if cycle.board.width != side:
+        board = BoardSpec.for_cycle_length(len(cycle))
+        cells = [index_of(p, board) for p in normalize_translation(cycle.coords())]
+    tables, image_of = _symmetry_tables(side), itemgetter(*cells)
+    by_col = image_of(tables[3])  # the transpose numbers the cells by column
+    corners = [(row - 1) // side * side + (col - 1) // side + 1
+               for row in (min(cells), max(cells)) for col in (min(by_col), max(by_col))]
+    images = []
+    for table in (range(side * side + 1),) + tables:
+        shift = min(map(table.__getitem__, corners)) - 1
+        images.append(tuple(map(shift.__rsub__, sorted(image_of(table)))))
+    return min(images)
 
 
 # The non-identity symmetries, in the order of _is_minimal_given's images.

@@ -47,6 +47,11 @@ class TestTwins:
         singletons = len(all_sets) - len(groups)
         assert grouped + singletons == 480
 
+    def test_length10_group_sizes(self, keys_by_k):
+        groups = group_geometric_twins(keys_by_k(10))
+        sizes = [len(g.members) for g in groups]
+        assert (len(groups), sum(sizes), max(sizes)) == (492, 1067, 6)
+
     def test_mixed_lengths_rejected(self, keys_by_k):
         with pytest.raises(ValueError, match="length"):
             group_geometric_twins([keys_by_k(6)[0], keys_by_k(8)[0]])

@@ -266,7 +266,49 @@ class TestEquivalence:
                     assert canonical_key(b) != canonical_key(a)
 
 
+def _coordinate_cell_set(cycle: CycleSeq) -> tuple[int, ...]:
+    """The twin key by coordinates: the least of the 8 images, each
+    translation-normalized, re-indexed on the standard board and sorted."""
+    board = BoardSpec.for_cycle_length(len(cycle))
+    return min(tuple(sorted(index_of(p, board) for p in
+                            normalize_translation(apply_dihedral(cycle.coords(), elem))))
+               for elem in DIHEDRAL_ELEMENTS)
+
+
 class TestCellSet:
+    @pytest.mark.parametrize("k", [4, 6, 8])
+    def test_matches_coordinates_on_every_image(self, k, keys_by_k):
+        """Every class in each of its 8 images, on the standard board and
+        shifted by one row or one column on a board one cell wider (the
+        placements of test_core_matches_oracle_on_every_reencoding), and
+        shifted on the standard board where it fits: the key is the
+        coordinate reference of the class."""
+        standard = BoardSpec.for_cycle_length(k)
+        larger = BoardSpec.square(k + 2)
+        placements = ((standard, (0, 0)), (larger, (0, 0)),
+                      (larger, (1, 0)), (larger, (0, 1)),
+                      (standard, (1, 0)), (standard, (0, 1)))
+        shifted_on_standard = 0
+        for key in keys_by_k(k):
+            coords = [coord_of(i, standard) for i in key]
+            reference = _coordinate_cell_set(CycleSeq(key, standard))
+            for board, (dr, dc) in placements:
+                for elem in DIHEDRAL_ELEMENTS:
+                    pts = [(r + dr, c + dc) for r, c in
+                           normalize_translation(apply_dihedral(coords, elem))]
+                    if max(map(max, pts)) >= board.width:
+                        continue
+                    shifted_on_standard += board == standard and (dr, dc) != (0, 0)
+                    cycle = CycleSeq(tuple(index_of(p, board) for p in pts), board)
+                    assert canonical_cell_set(cycle) == reference, (key, board, elem)
+        assert shifted_on_standard > 0
+
+    def test_matches_coordinates_on_every_k10_class(self, keys_by_k):
+        board = BoardSpec.for_cycle_length(10)
+        for key in keys_by_k(10):
+            cycle = CycleSeq(key, board)
+            assert canonical_cell_set(cycle) == _coordinate_cell_set(cycle), key
+
     def test_twins_share_cell_set_key(self, board6):
         keys = {canonical_cell_set(validate_cycle(s, board6)) for s in TWIN_K8_W6}
         assert len(keys) == 1
