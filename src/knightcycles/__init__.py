@@ -32,7 +32,6 @@ from .analysis import (
     group_geometric_twins,
     read_cycles,
     render,
-    verify_tables,
     write_cycles,
 )
 

@@ -1,5 +1,5 @@
-"""Twin detection, reference-count verification (a generator of rows, one
-per length and engine), the cycle file format, and grid rendering."""
+"""Twin detection, the reference count table, the cycle file format, and
+grid rendering."""
 
 from __future__ import annotations
 
@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 from .board import BoardSpec, coord_of
 from .cycles import CycleSeq, CycleValidationError, canonical_cell_set, validate_cycle
-from .search import enumerate_cycles
 
 # Reference counts per cycle length: (nonequivalent classes, non-self-
 # intersecting among them).  Kept verbatim from the table this tool checks
@@ -60,45 +59,6 @@ def group_geometric_twins(cycles) -> list[TwinGroup]:
     return [TwinGroup(key, tuple(sorted(members)))
             for key, members in sorted(groups.items())
             if len(members) >= 2]
-
-
-@dataclass
-class VerificationRow:
-    k: int
-    algorithm: str
-    expected_total: int
-    total: int
-    expected_simple: int
-    simple: int
-    elapsed: float
-
-    def failures(self) -> list[str]:
-        """How the counts differ from the reference; empty means PASS."""
-        out = []
-        if self.total != self.expected_total:
-            out.append(f"k={self.k} {self.algorithm}: expected "
-                       f"{self.expected_total} classes, got {self.total}")
-        if self.simple != self.expected_simple:
-            out.append(f"k={self.k} {self.algorithm}: expected "
-                       f"{self.expected_simple} simple, got {self.simple}")
-        return out
-
-
-def verify_tables(k_max: int, algorithm: str = "both", jobs: int = 1):
-    """Re-enumerate every length up to k_max and yield one VerificationRow
-    per (length, engine), each as soon as its enumeration returns.  A bad
-    k_max raises ValueError on the first next(), before any enumeration."""
-    BoardSpec.for_cycle_length(k_max)
-    algorithms = ("dfs", "mitm") if algorithm == "both" else (algorithm,)
-    for k in range(4, k_max + 2, 2):
-        expected_total, expected_simple = EXPECTED_COUNTS[k]
-        for alg in algorithms:
-            summary = enumerate_cycles(k, alg, simple_filter=True, jobs=jobs)
-            yield VerificationRow(
-                k=k, algorithm=alg,
-                expected_total=expected_total, total=summary.total,
-                expected_simple=expected_simple, simple=summary.simple,
-                elapsed=summary.elapsed)
 
 
 class ParseError(ValueError):

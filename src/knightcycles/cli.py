@@ -1,16 +1,18 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 verification/validation failure or a lost worker,
-2 usage error.
+Exit codes: 0 success, 1 verification/validation failure, a lost worker or
+a closed output pipe, 2 usage error.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import os
 import sys
 
 from .analysis import (
+    EXPECTED_COUNTS,
     CycleFileWriter,
     ParseError,
     check_output_path,
@@ -20,7 +22,6 @@ from .analysis import (
     read_cycle_header,
     read_cycles,
     render,
-    verify_tables,
 )
 from .board import BoardSpec
 from .cycles import is_minimal, validate_cycle
@@ -107,15 +108,25 @@ def _cmd_list(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    BoardSpec.for_cycle_length(args.max_length)  # refused before any enumeration
+    algorithms = ("dfs", "mitm") if args.algorithm == "both" else (args.algorithm,)
     failures = []
-    for row in verify_tables(args.max_length, args.algorithm, jobs=args.jobs):
-        row_failures = row.failures()
-        print(f"k={row.k:<3d} {row.algorithm:<4s} "
-              f"total={row.total} (expect {row.expected_total})  "
-              f"simple={row.simple} (expect {row.expected_simple})  "
-              f"elapsed={row.elapsed:.2f}s  {'FAIL' if row_failures else 'PASS'}",
-              flush=True)
-        failures += row_failures
+    for k in range(4, args.max_length + 2, 2):
+        expected_total, expected_simple = EXPECTED_COUNTS[k]
+        for alg in algorithms:
+            summary = enumerate_cycles(k, alg, simple_filter=True, jobs=args.jobs)
+            row_failures = []
+            if summary.total != expected_total:
+                row_failures.append(f"k={k} {alg}: expected {expected_total} "
+                                    f"classes, got {summary.total}")
+            if summary.simple != expected_simple:
+                row_failures.append(f"k={k} {alg}: expected {expected_simple} "
+                                    f"simple, got {summary.simple}")
+            print(f"k={k:<3d} {alg:<4s} total={summary.total} (expect {expected_total})  "
+                  f"simple={summary.simple} (expect {expected_simple})  "
+                  f"elapsed={summary.elapsed:.2f}s  "
+                  f"{'FAIL' if row_failures else 'PASS'}", flush=True)
+            failures += row_failures
     if not failures:
         print("all counts match")
         return 0
@@ -202,8 +213,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
-    except ShardLostError as exc:
+        code = _COMMANDS[args.command](args)
+        sys.stdout.flush()
+        return code
+    except (ShardLostError, BrokenPipeError) as exc:
+        if isinstance(exc, BrokenPipeError):  # the reader left (see SIGPIPE in
+            # Python's docs): devnull takes the rest, so the exit flush cannot fail
+            with open(os.devnull, "wb") as devnull:
+                os.dup2(devnull.fileno(), sys.stdout.fileno())
         print(f"error: {exc}", file=sys.stderr)
         return FAILURE
     except (ValueError, OSError) as exc:

@@ -4,6 +4,7 @@ import stat
 
 import pytest
 
+from knightcycles import cli
 from knightcycles.analysis import (
     EXPECTED_COUNTS,
     CycleFileWriter,
@@ -13,7 +14,6 @@ from knightcycles.analysis import (
     read_cycle_header,
     read_cycles,
     render,
-    verify_tables,
     write_cycles,
 )
 from knightcycles.board import BoardSpec
@@ -63,28 +63,24 @@ class TestTwins:
 
 
 class TestVerifyTables:
-    def test_passes_up_to_length8(self):
-        rows = list(verify_tables(8, "both"))
-        assert all(row.failures() == [] for row in rows)
-        assert len(rows) == 6  # three lengths x two engines
-        assert {r.k for r in rows} == {4, 6, 8}
+    """`verify` compares both engines with EXPECTED_COUNTS."""
 
-    def test_single_algorithm(self):
-        rows = list(verify_tables(6, "mitm"))
-        assert [r.algorithm for r in rows] == ["mitm", "mitm"]
-        assert all(row.failures() == [] for row in rows)
-
-    def test_corrupted_expectation_is_named(self, monkeypatch):
+    def test_corrupted_expectation_is_named(self, monkeypatch, capsys):
         monkeypatch.setitem(EXPECTED_COUNTS, 6, (26, 13))
-        rows = list(verify_tables(6, "dfs"))
-        failures = [f for row in rows for f in row.failures()]
-        assert failures
-        assert any("k=6" in f and "26" in f and "25" in f for f in failures)
+        assert cli.main(["verify", "--max-length", "6"]) == 1
+        assert capsys.readouterr().err == (
+            "MISMATCH: k=6 dfs: expected 26 classes, got 25\n"
+            "MISMATCH: k=6 mitm: expected 26 classes, got 25\n")
 
     @pytest.mark.parametrize("bad", [3, 18, 7])
-    def test_rejects_bad_max_length(self, bad):
-        with pytest.raises(ValueError):
-            next(verify_tables(bad))
+    def test_rejects_bad_max_length(self, bad, monkeypatch, capsys):
+        def never(*args, **kwargs):
+            raise AssertionError(f"enumerated for --max-length {bad}")
+
+        monkeypatch.setattr(cli, "enumerate_cycles", never)
+        assert cli.main(["verify", "--max-length", str(bad)]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: no cycle length k={bad}: want an even k within 4..16\n")
 
 
 class TestCycleFiles:

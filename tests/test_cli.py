@@ -1,4 +1,5 @@
 import errno
+import fcntl
 import os
 import re
 import select
@@ -52,6 +53,53 @@ def groups_failing_part_way(cycles):
 
 RENDER_K8 = ("render", "--seq", ",".join(map(str, MINIMAL_K8_W5)), "--width", "5")
 ENOENT = f"[Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}"
+
+
+GATED_CLI = textwrap.dedent("""
+    import os, sys, time
+    from knightcycles import cli
+
+    flag, argv = sys.argv[1], sys.argv[2:]
+    enumerate_cycles = cli.enumerate_cycles
+
+    def gated(k, *args, **kwargs):
+        deadline = time.monotonic() + 60
+        while k == 6 and not os.path.exists(flag):
+            if time.monotonic() > deadline:
+                sys.exit("no flag file within 60 s")
+            time.sleep(0.01)
+        return enumerate_cycles(k, *args, **kwargs)
+
+    cli.enumerate_cycles = gated
+    sys.exit(cli.main(argv))
+    """)
+
+
+def start_gated_cli(flag, *argv, stdout):
+    """Run the CLI in a child with PYTHONUNBUFFERED unset, its k=6
+    enumeration held until the file ``flag`` exists."""
+    src = os.path.dirname(os.path.dirname(knightcycles.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("PYTHONUNBUFFERED", None)
+    return subprocess.Popen([sys.executable, "-c", GATED_CLI, str(flag), *argv],
+                            env=env, start_new_session=True, text=True,
+                            stdout=stdout, stderr=subprocess.PIPE)
+
+
+def finish(proc):
+    """The child's exit code and stderr; its group is killed if it still
+    runs after 60 s."""
+    try:
+        code = proc.wait(timeout=60)
+    except subprocess.TimeoutExpired:
+        pytest.fail("child still running after 60 s")
+    finally:
+        if proc.poll() is None:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+        with proc.stderr:
+            err = proc.stderr.read()
+    return code, err
 
 
 class TestCount:
@@ -268,7 +316,31 @@ class TestListAndCheck:
         assert code == 1
 
 
+VERIFY_K8 = """\
+k=4   dfs  total=3 (expect 3)  simple=3 (expect 3)  elapsed=Xs  PASS
+k=4   mitm total=3 (expect 3)  simple=3 (expect 3)  elapsed=Xs  PASS
+k=6   dfs  total=25 (expect 25)  simple=13 (expect 13)  elapsed=Xs  PASS
+k=6   mitm total=25 (expect 25)  simple=13 (expect 13)  elapsed=Xs  PASS
+k=8   dfs  total=480 (expect 480)  simple=178 (expect 178)  elapsed=Xs  PASS
+k=8   mitm total=480 (expect 480)  simple=178 (expect 178)  elapsed=Xs  PASS
+all counts match
+"""
+
+
 class TestVerify:
+    def test_rows_up_to_length8(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--max-length", "8")
+        assert (code, err) == (0, "")
+        assert re.sub(r"elapsed=\d+\.\d\ds", "elapsed=Xs", out) == VERIFY_K8
+
+    def test_single_algorithm(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--max-length", "6",
+                               "--algorithm", "mitm")
+        assert code == 0
+        rows = out.splitlines()[:-1]
+        assert [row.split()[1] for row in rows] == ["mitm", "mitm"]
+        assert all(row.endswith("PASS") for row in rows)
+
     def test_passes_small(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--max-length", "6",
                                "--algorithm", "both")
@@ -293,13 +365,13 @@ class TestVerify:
     def test_each_row_is_printed_before_the_next_enumeration(self, capsys,
                                                              monkeypatch):
         chunks = []  # stdout written since the previous enumeration began
-        enumerate_cycles = analysis.enumerate_cycles
+        enumerate_cycles = cli.enumerate_cycles
 
         def recording(*args, **kwargs):
             chunks.append(capsys.readouterr().out)
             return enumerate_cycles(*args, **kwargs)
 
-        monkeypatch.setattr(analysis, "enumerate_cycles", recording)
+        monkeypatch.setattr(cli, "enumerate_cycles", recording)
         code, out, _ = run_cli(capsys, "verify", "--max-length", "8")
         assert code == 0
         assert [chunk.count("PASS") for chunk in chunks] == [0, 1, 1, 1, 1, 1]
@@ -311,50 +383,43 @@ class TestVerify:
         arrives while the k=6 enumeration still waits for a flag file the
         test creates only after reading that row."""
         flag = tmp_path / "go"
-        script = textwrap.dedent("""
-            import os, sys, time
-            from knightcycles import analysis, cli
-
-            flag = sys.argv[1]
-            enumerate_cycles = analysis.enumerate_cycles
-
-            def gated(k, *args, **kwargs):
-                deadline = time.monotonic() + 60
-                while k == 6 and not os.path.exists(flag):
-                    if time.monotonic() > deadline:
-                        sys.exit("no flag file within 60 s")
-                    time.sleep(0.01)
-                return enumerate_cycles(k, *args, **kwargs)
-
-            analysis.enumerate_cycles = gated
-            sys.exit(cli.main(["verify", "--max-length", "8",
-                               "--algorithm", "dfs"]))
-            """)
-        src = os.path.dirname(os.path.dirname(knightcycles.__file__))
-        env = dict(os.environ, PYTHONPATH=src)
-        env.pop("PYTHONUNBUFFERED", None)
-        proc = subprocess.Popen([sys.executable, "-c", script, str(flag)],
-                                env=env, start_new_session=True, text=True,
-                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
-        try:
+        proc = start_gated_cli(flag, "verify", "--max-length", "8",
+                               "--algorithm", "dfs", stdout=subprocess.PIPE)
+        with proc.stdout:
             ready, _, _ = select.select([proc.stdout], [], [], 30)
             first = proc.stdout.readline() if ready else ""
             flag.touch()
-            code = proc.wait(timeout=60)
-        except subprocess.TimeoutExpired:
-            pytest.fail("child still running after 60 s")
-        finally:
-            if proc.poll() is None:
-                os.killpg(proc.pid, signal.SIGKILL)
-                proc.wait()
+            code, err = finish(proc)
             rest = proc.stdout.read()
-            err = proc.stderr.read()
-            proc.stdout.close()
-            proc.stderr.close()
         assert first.startswith("k=4   dfs  total=3 (expect 3)"), (first, err)
         assert code == 0, err
         assert rest.count("PASS") == 2
         assert rest.endswith("all counts match\n")
+
+
+class TestClosedStdout:
+    @pytest.mark.parametrize("argv", [
+        ("verify", "--max-length", "8"), ("twins", "--length", "10"),
+    ], ids=lambda argv: argv[0])
+    def test_reader_closing_early_gives_exit_1(self, argv, tmp_path):
+        """With PYTHONUNBUFFERED unset, a reader that takes one line and
+        closes the pipe gets exit 1 and one error line.  The pipe holds one
+        page, so twins' 50 kB report cannot all fit before the close, and
+        verify's k=6 rows wait for a flag file set after the close."""
+        flag = tmp_path / "go"
+        read_end, write_end = os.pipe()
+        fcntl.fcntl(write_end, fcntl.F_SETPIPE_SZ, 4096)
+        with os.fdopen(read_end) as reader:
+            proc = start_gated_cli(flag, *argv, stdout=write_end)
+            os.close(write_end)
+            ready, _, _ = select.select([reader], [], [], 30)
+            first = reader.readline() if ready else ""
+        flag.touch()
+        code, err = finish(proc)
+        assert first.startswith("k=4" if argv[0] == "verify" else "cells "), err
+        assert (code, err) == (1, f"error: [Errno {errno.EPIPE}] "
+                                  f"{os.strerror(errno.EPIPE)}\n")
+
 
 
 class TestTwins:
