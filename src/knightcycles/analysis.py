@@ -117,6 +117,7 @@ class CycleFileWriter:
         self.filter_tag = filter_tag
         self.count = 0
         self._last: tuple[int, ...] | None = None
+        self._line = " ".join(["%s"] * k) + "\n"  # %s is str(): the same bytes
         self._body = tempfile.TemporaryFile("w+", dir=os.path.dirname(self._target))
 
     def write(self, cells) -> None:
@@ -128,7 +129,7 @@ class CycleFileWriter:
                 f"cycles must be strictly ascending: {cells} after {self._last}")
         self._last = cells
         self.count += 1
-        self._body.write(" ".join(map(str, cells)) + "\n")
+        self._body.write(self._line % cells)
 
     def close(self) -> None:
         """Publish header and body through publish(): a failure part-way

@@ -7,12 +7,14 @@ be rotated to start there, which is lexicographically smaller, so such
 sequences are never canonical.
 
 The exhaustive engine extends one path cell by cell.  It walks each cycle
-in one direction only, and cuts a path as soon as its running bounding box
-shows that a symmetry image will start below s.  The assembly engine builds
-all half-length paths from s to one possible opposite cell t and glues
-disjoint pairs; each closed sequence arises from exactly one ordered pair of
-halves, so canonical filtering again counts every class exactly once, with
-no memory of previously found solutions in either engine.  It finds the
+in one direction only, reads each cell's children from tables that already
+hold every cut the path does not decide, and cuts a path as soon as its
+running bounding box shows that a symmetry image will start below s.  The
+assembly engine builds all half-length paths from s to one possible
+opposite cell t and glues disjoint pairs; each closed sequence arises from
+exactly one ordered pair of halves, so canonical filtering again counts
+every class exactly once, with no memory of previously found solutions in
+either engine.  It finds the
 disjoint partners of a half through per-cell bitsets, and skips a pair whose
 symmetry images already start below s, judged from the two halves' bounding
 box extremes, before building its sequence.
@@ -111,19 +113,29 @@ def _dfs_one_start(board: BoardSpec, k: int, s: int, emit) -> None:
     order of cycles._side_extremes.  The caller runs the canonicity core on
     every emission.
 
-    The walk takes the second cells c of s one at a time, ascending.  A
+    The walk takes the second cells of s one at a time, ascending.  A
     canonical sequence has cells[1] < cells[-1], so each cycle is walked in
-    one direction only: the path may then close only on a neighbour of s
-    above c.  Beyond the >= s rule, a child v is cut when its path cannot
-    - reach one of those closing cells in the moves left;
-    - touch column 0 in the moves left (a canonical placement always does);
-    - give every symmetry image a start offset of at least s - 1 (see
-      cycles._is_minimal_given).  The path carries its running side
-      extremes: the max row and column, the max column on row 0 and the min
-      and max row on column 0.  Every later cell must still get back to s,
-      at row 0, so the final max row is at most row(v) // 2 + remaining and
-      the final max column at most (col(v) + col(s)) // 2 + remaining.  A
-      column-0 cell on a row below s - 1 fails at once.
+    one direction only: with second cell c, the path may close only on a
+    neighbour of s above c.  For each c the walk first builds child tables.
+    The row of a cell u, for the moves left and for whether the path has
+    touched column 0, lists u's neighbours v, ascending, that pass every
+    cut the path itself does not decide.  v is cut when
+    - v is below s, is s, or is c (both lie on every path; from s the only
+      child is c);
+    - v is a column-0 cell on a row below s - 1 (see below);
+    - v cannot reach one of the closing cells in the moves left;
+    - the path is not yet on column 0 and v cannot reach it in the moves
+      left (a canonical placement always touches column 0).
+    Rows exist only for the states that such children reach from c.  Per
+    child the walk keeps the two tests that depend on the path: v already
+    visited, and the running box.  Every symmetry image must start at an
+    offset of at least s - 1 (see cycles._is_minimal_given), so the path
+    carries its side extremes: the max row and column, the max column on
+    row 0 and the min and max row on column 0.  Every later cell must still
+    get back to s, at row 0, so the final max row is at most
+    row(v) // 2 + remaining and the final max column at most
+    (col(v) + col(s)) // 2 + remaining; each child comes with its row,
+    column and both halves.
     The bottom-row and right-column extremes are read off the path at the
     leaf, once its box is final.
     """
@@ -135,38 +147,33 @@ def _dfs_one_start(board: BoardSpec, k: int, s: int, emit) -> None:
     cols = [0] + [(c - 1) % side for c in range(1, size + 1)]
     # Column-0 cells on rows below s - 1 are cut, so only the others count.
     dist_col0 = _distances(adj_s, range(low * side + 1, size + 1, side), size)
+    cells = [(v, rows[v], cols[v], rows[v] // 2, (cols[v] + s_col) // 2)
+             for v in range(size + 1)]
     visited = bytearray(size + 1)
     visited[s] = 1
     path = [s]
 
-    def extend(u: int, depth: int, dist, last_row: int, last_col: int,
+    def extend(u: int, depth: int, kids, last_row: int, last_col: int,
                top_max: int, left_min: int, left_max: int) -> None:
         remaining = k - depth
-        for v in adj_s[u]:
-            if visited[v] or dist[v] >= remaining:
+        for v, r, c, r_half, c_half in kids[remaining][u]:
+            if visited[v]:
                 continue
-            r = rows[v]
-            c = cols[v]
             top = top_max
             left_lo = left_min
             left = left_max
             if c == 0:
-                if r < low:
-                    continue
                 if r < left_lo:
                     left_lo = r
                 if r > left:
                     left = r
-            else:
-                if left < 0 and dist_col0[v] >= remaining:
-                    continue
-                if r == 0 and c > top:
-                    top = c
+            elif r == 0 and c > top:
+                top = c
             # Conditional expressions: builtin min/max calls cost more here.
             row = r if r > last_row else last_row
             col = c if c > last_col else last_col
-            row_up = r // 2 + remaining
-            col_up = (c + s_col) // 2 + remaining
+            row_up = r_half + remaining
+            col_up = c_half + remaining
             if ((col_up if col_up > col else col) - top < low
                     or (row_up if row_up > row else row) - left < low):
                 continue
@@ -192,17 +199,37 @@ def _dfs_one_start(board: BoardSpec, k: int, s: int, emit) -> None:
                             bottom_max - bottom, right_min, right_max))
             else:
                 visited[v] = 1
-                extend(v, depth + 1, closing, row, col, top, left_lo, left)
+                extend(v, depth + 1, on_col0 if c == 0 else kids, row, col,
+                       top, left_lo, left)
                 visited[v] = 0
             path.pop()
 
     # The column-0 extremes stay (_FAR, -_FAR) until the path touches it.
     left = (0, 0) if s_col == 0 else (_FAR, -_FAR)
-    for c in adj_s[s]:
-        closing = _distances(adj_s, [n for n in adj_s[s] if n > c], size)
-        first = [UNREACHED] * (size + 1)  # no other second cell passes
-        first[c] = closing[c]
-        extend(s, 1, first, 0, s_col, s_col, *left)
+    for second in adj_s[s]:
+        closing = _distances(adj_s, [n for n in adj_s[s] if n > second], size)
+        # tables[touched][remaining][u]: the children of u with remaining
+        # moves left, on a path that has (1) or has not (0) touched column 0.
+        tables = tuple([[()] * (size + 1) for _ in range(k)] for _ in range(2))
+        on_col0 = tables[1]
+        states = {(s, s_col == 0)}
+        for remaining in range(k - 1, 0, -1):
+            reached = set()
+            for u, touched in states:
+                # A list, not a tuple: freed tuples wait on the interpreter's
+                # free lists, which raised a worker's peak RSS.
+                # From s only second: s and second lie on every path.
+                children = tables[touched][remaining][u] = [
+                    cells[v] for v in adj_s[u]
+                    if v > s and (v == second) == (u == s)
+                    and closing[v] < remaining
+                    and (rows[v] >= low if cols[v] == 0
+                         else touched or dist_col0[v] < remaining)]
+                reached.update((v, touched or cols[v] == 0)
+                               for v, *_ in children)
+            states = reached
+        extend(s, 1, tables[s_col == 0], 0, s_col, s_col, *left)
+    del extend  # it refers to itself: free the walk's state without the gc
 
 
 def _half_paths_raw(board: BoardSpec, k: int, s: int, t: int):
@@ -232,6 +259,7 @@ def _half_paths_raw(board: BoardSpec, k: int, s: int, t: int):
                 visited[v] = 0
 
     extend(s, m)
+    del extend  # it refers to itself: free the walk's state without the gc
     return out
 
 

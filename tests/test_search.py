@@ -1,3 +1,5 @@
+import gc
+import hashlib
 import multiprocessing
 import os
 import signal
@@ -315,6 +317,20 @@ class TestDfsPrefilter:
         # 254 at k=6, 6318 at k=8 and 178536 at k=10 with the unpruned cuts.
         assert emitted_total == candidates
 
+    @pytest.mark.parametrize("k, digest", [
+        (6, "00e198ddce504a01ec7791e3bc81ad1eebe2b20fa7cff01c2f3433eaed42076b"),
+        (8, "2303055f89a554d2222929fb86c497ae65b25db6012f6399705159e3a3da0075"),
+        (10, "a2d9528b8ea94e8e43677fa355c59909d64d02996d82a2f8333692578581e48a"),
+    ])
+    def test_emitted_set_is_pinned(self, k, digest):
+        """The closures handed to the canonicity test, not only their count
+        and survivors: the sha256 of their sorted listing, one per line."""
+        board = BoardSpec.for_cycle_length(k)
+        emitted = sorted(seq for s in range(1, k // 2 + 2)
+                         for seq in _dfs_emissions(board, k, s))
+        text = "".join(" ".join(map(str, seq)) + "\n" for seq in emitted)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
     def test_largest_second_cell_is_never_entered(self):
         """No neighbour of s above the largest one can close its path, so
         the recursion never steps into it."""
@@ -338,6 +354,23 @@ class TestDfsPrefilter:
             assert largest not in entered
             if s == 1:
                 assert entered
+
+
+class TestShardMemory:
+    """The engines' recursive walks refer to themselves; a shard breaks
+    those cycles itself, so its state is freed when it returns, not when
+    the cyclic garbage collector next runs."""
+
+    @pytest.mark.parametrize("algorithm, shard", [("dfs", (2,)),
+                                                  ("mitm", (2, 13))])
+    def test_a_shard_leaves_no_cyclic_garbage(self, algorithm, shard):
+        gc.collect()
+        gc.disable()
+        try:
+            search._run_shard(algorithm, 10, False, False, None, shard)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestEngineExtremes:
