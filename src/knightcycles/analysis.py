@@ -6,7 +6,6 @@ from __future__ import annotations
 import contextlib
 import errno
 import os
-import re
 import shutil
 import tempfile
 from dataclasses import dataclass
@@ -111,13 +110,12 @@ class CycleFileWriter:
         BoardSpec.for_cycle_length(k)  # the reader's rule: fail before enumerating
         if filter_tag not in ("all", "simple"):
             raise ValueError(f"filter tag must be 'all' or 'simple', got {filter_tag!r}")
-        self.path = os.fspath(path)
-        self._target = check_output_path(self.path)
+        self._target = check_output_path(os.fspath(path))
         self.k = k
         self.filter_tag = filter_tag
         self.count = 0
         self._last: tuple[int, ...] | None = None
-        self._line = " ".join(["%s"] * k) + "\n"  # %s is str(): the same bytes
+        self._line = _body_format(k)
         self._body = tempfile.TemporaryFile("w+", dir=os.path.dirname(self._target))
 
     def write(self, cells) -> None:
@@ -184,12 +182,8 @@ def _header_line(k: int, count: int, filter_tag: str) -> str:
     return f"KNIGHT-CYCLES v1 k={k} board={side}x{side} count={count} filter={filter_tag}"
 
 
-_BODY_LINE = re.compile(r"[1-9][0-9]*(?: [1-9][0-9]*)*\n")  # as the writer writes it
-
-
-def open_listing(path):
-    """Open a listing as written (ASCII, LF): a CR or stray byte stays in its line."""
-    return open(path, encoding="ascii", errors="surrogateescape", newline="\n")
+def _body_format(k: int) -> str:
+    return " ".join(["%s"] * k) + "\n"  # % cells: a body line (%s is str())
 
 
 def read_cycle_header(line: str) -> CycleFileHeader:
@@ -204,46 +198,59 @@ def read_cycle_header(line: str) -> CycleFileHeader:
                      f"even k within 4..16 and the (k+1)x(k+1) board", line=1)
 
 
-def read_cycles(path):
-    """Yield each listed cycle as a validated CycleSeq.
-
-    Only the writer's bytes are accepted.  Raises ParseError (with the line
-    number) for a header or body line the writer would not write, a cycle
-    that is not valid at the advertised length, a body that is not strictly
-    ascending, or a count that does not match the body.
-    """
-    with open_listing(path) as fh:
+@contextlib.contextmanager
+def read_listing(path):
+    """Read a listing once, front to back (a pipe serves), and yield (header,
+    cycles): line 1 parsed and an iterator of validated CycleSeqs.  Only the
+    writer's bytes pass (ASCII, LF: a CR or stray byte stays in its line).
+    ParseError names the line of a header or body line in any other form, an
+    invalid cycle, a body out of ascending order or a count the body misses."""
+    with open(path, encoding="ascii", errors="surrogateescape", newline="\n") as fh:
         header_line = fh.readline()
         if not header_line.endswith("\n"):
             raise ParseError(f"bad header {header_line!r}: want a final LF", line=1)
         header = read_cycle_header(header_line[:-1])
-        seen = 0
-        previous: tuple[int, ...] = ()
-        for lineno, line in enumerate(fh, start=2):
-            if not _BODY_LINE.fullmatch(line):
-                raise ParseError(f"malformed line {line!r}", line=lineno)
+        yield header, _read_body(fh, header)
+
+
+def _read_body(fh, header: CycleFileHeader):
+    line_format = _body_format(header.k)
+    seen = 0
+    previous: tuple[int, ...] = ()
+    for lineno, line in enumerate(fh, start=2):
+        try:
             cells = tuple(map(int, line.split()))
-            if len(cells) != header.k:
-                raise ParseError(
-                    f"expected {header.k} cells, got {len(cells)}", line=lineno)
-            if cells <= previous:
-                raise ParseError(
-                    f"cycles must be strictly ascending: {cells} after {previous}",
-                    line=lineno)
-            previous = cells
-            seen += 1
-            if seen > header.count:
-                raise ParseError(
-                    f"more cycles than the advertised count={header.count}",
-                    line=lineno)
-            try:
-                yield validate_cycle(cells, header.board)
-            except CycleValidationError as exc:
-                raise ParseError(str(exc), line=lineno) from None
-        if seen != header.count:
+        except ValueError:
+            cells = ()  # not numbers: malformed, as an empty line is
+        if not cells or len(cells) == header.k and line != line_format % cells:
+            raise ParseError(f"malformed line {line!r}", line=lineno)
+        if len(cells) != header.k:
             raise ParseError(
-                f"header advertises count={header.count} but body has {seen}",
-                line=seen + 2)
+                f"expected {header.k} cells, got {len(cells)}", line=lineno)
+        if cells <= previous:
+            raise ParseError(
+                f"cycles must be strictly ascending: {cells} after {previous}",
+                line=lineno)
+        previous = cells
+        seen += 1
+        if seen > header.count:
+            raise ParseError(
+                f"more cycles than the advertised count={header.count}",
+                line=lineno)
+        try:
+            yield validate_cycle(cells, header.board)
+        except CycleValidationError as exc:
+            raise ParseError(str(exc), line=lineno) from None
+    if seen != header.count:
+        raise ParseError(
+            f"header advertises count={header.count} but body has {seen}",
+            line=seen + 2)
+
+
+def read_cycles(path):
+    """Yield each listed cycle of the listing at ``path`` as read_listing does."""
+    with read_listing(path) as (_, cycles):
+        yield from cycles
 
 
 def render(cycle: CycleSeq, format: str = "svg") -> str:

@@ -17,10 +17,8 @@ from .analysis import (
     ParseError,
     check_output_path,
     group_geometric_twins,
-    open_listing,
     publish,
-    read_cycle_header,
-    read_cycles,
+    read_listing,
     render,
 )
 from .board import BoardSpec
@@ -177,20 +175,19 @@ def _cmd_render(args) -> int:
 
 def _cmd_check(args) -> int:
     try:
-        with open_listing(args.infile) as fh:
-            header = read_cycle_header(fh.readline().rstrip("\n"))
-        table = (crossing_table(header.board) if header.filter_tag == "simple"
-                 else None)
-        for number, cycle in enumerate(read_cycles(args.infile), start=1):
-            if not is_minimal(cycle):
-                flaw = "canonical"
-            elif table is not None and not table.is_simple_cells(cycle.cells):
-                flaw = "simple"
-            else:
-                continue
-            print(f"not {flaw} at cycle {number}: "
-                  f"{','.join(map(str, cycle.cells))}", file=sys.stderr)
-            return FAILURE
+        with read_listing(args.infile) as (header, cycles):
+            table = (crossing_table(header.board) if header.filter_tag == "simple"
+                     else None)
+            for number, cycle in enumerate(cycles, start=1):
+                if not is_minimal(cycle):
+                    flaw = "canonical"
+                elif table is not None and not table.is_simple_cells(cycle.cells):
+                    flaw = "simple"
+                else:
+                    continue
+                print(f"not {flaw} at cycle {number}: "
+                      f"{','.join(map(str, cycle.cells))}", file=sys.stderr)
+                return FAILURE
     except (ParseError, OSError) as exc:
         print(f"{args.infile}: {exc}", file=sys.stderr)
         return FAILURE

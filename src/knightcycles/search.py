@@ -206,7 +206,8 @@ def _dfs_one_start(board: BoardSpec, k: int, s: int, emit) -> None:
 
     # The column-0 extremes stay (_FAR, -_FAR) until the path touches it.
     left = (0, 0) if s_col == 0 else (_FAR, -_FAR)
-    for second in adj_s[s]:
+    # No neighbour of s lies above the largest: a path through it cannot close.
+    for second in adj_s[s][:-1]:
         closing = _distances(adj_s, [n for n in adj_s[s] if n > second], size)
         # tables[touched][remaining][u]: the children of u with remaining
         # moves left, on a path that has (1) or has not (0) touched column 0.

@@ -159,7 +159,11 @@ class TestCycleFiles:
                     "2 9 18 11 ", "2 9  18 11", "2\t9 18 11", "+2 9 18 11",
                     "02 9 18 11", "2 9 1_8 11", "2 9 18 11\r",
                     # Arabic-Indic digits
-                    "\u0662 \u0669 \u0661\u0668 \u0661\u0661"):
+                    "\u0662 \u0669 \u0661\u0668 \u0661\u0661",
+                    # in the writer's form, but with a 0 or a negative cell
+                    "0 9 18 11", "-2 9 18 11",
+                    # one cell too few or too many
+                    "2 9 18", "2 9 18 11 4"):
             lines[2] = bad
             path.write_bytes(("\n".join(lines) + "\n").encode())
             with pytest.raises(ParseError) as err:

@@ -8,6 +8,7 @@ import stat
 import subprocess
 import sys
 import textwrap
+import threading
 
 import pytest
 
@@ -100,6 +101,24 @@ def finish(proc):
         with proc.stderr:
             err = proc.stderr.read()
     return code, err
+
+
+def check_in_child(path, **kwargs):
+    """Run `check --in path` in a child, killed if it still runs after 60 s."""
+    src = os.path.dirname(os.path.dirname(knightcycles.__file__))
+    return subprocess.run(
+        [sys.executable, "-m", "knightcycles.cli", "check", "--in", str(path)],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        timeout=60, **kwargs)
+
+
+def feed_fifo(path, data: bytes):
+    """Write data into the FIFO at path; a reader that leaves early ends it."""
+    try:
+        with open(path, "wb") as out:
+            out.write(data)
+    except BrokenPipeError:
+        pass
 
 
 class TestCount:
@@ -310,6 +329,34 @@ class TestListAndCheck:
         code, _, err = run_cli(capsys, "check", "--in", str(out_file))
         assert code == 1
         assert err.startswith(f"{out_file}: line 2: malformed line")
+
+    @pytest.mark.parametrize("source", ["stdin", "fifo"])
+    def test_check_reads_a_stream_once(self, source, tmp_path, keys_by_k):
+        """The k=10 listing, larger than a pipe's buffer, checks the same
+        through /dev/stdin or a FIFO as by path: check reads its input once."""
+        listing = tmp_path / "k10.cycles"
+        write_cycles(keys_by_k(10), listing)
+        ok = "OK, 12000 cycles of length 10, filter=all\n"
+        by_path = check_in_child(listing)
+        assert (by_path.returncode, by_path.stdout, by_path.stderr) == (
+            0, f"{listing}: {ok}", "")
+        if source == "stdin":
+            streamed = check_in_child("/dev/stdin", input=listing.read_text())
+            name = "/dev/stdin"
+        else:
+            name = tmp_path / "k10.fifo"
+            os.mkfifo(name)
+            feeder = threading.Thread(target=feed_fifo,
+                                      args=(name, listing.read_bytes()))
+            feeder.start()
+            try:
+                streamed = check_in_child(name)
+            finally:
+                # A writer still waiting for a reader gets one, and leaves.
+                os.close(os.open(name, os.O_RDONLY | os.O_NONBLOCK))
+                feeder.join()
+        assert (streamed.returncode, streamed.stdout, streamed.stderr) == (
+            0, f"{name}: {ok}", "")
 
     def test_check_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "check", "--in", "/nonexistent.cycles")

@@ -331,29 +331,28 @@ class TestDfsPrefilter:
         text = "".join(" ".join(map(str, seq)) + "\n" for seq in emitted)
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
-    def test_largest_second_cell_is_never_entered(self):
-        """No neighbour of s above the largest one can close its path, so
-        the recursion never steps into it."""
+    def test_largest_second_cell_is_never_entered(self, monkeypatch):
+        """No neighbour of s lies above the largest one, so no path through
+        it can close: the walk asks for closing distances to the neighbours
+        above each other second cell, and never to an empty set."""
         k = 8
         board = BoardSpec.for_cycle_length(k)
-        entered: list[int] = []
+        distances = search._distances
+        requested: list[list[int]] = []
 
-        def watch(frame, event, _):
-            if (event == "call" and frame.f_code.co_name == "extend"
-                    and frame.f_locals["depth"] == 2):
-                entered.append(frame.f_locals["u"])
+        def recording(adj, sources, size):
+            sources = sorted(sources)
+            requested.append(sources)
+            return distances(adj, sources, size)
 
+        monkeypatch.setattr(search, "_distances", recording)
         for s in range(1, k // 2 + 2):
-            entered.clear()
-            sys.setprofile(watch)
-            try:
-                _dfs_one_start(board, k, s, lambda path, extremes: None)
-            finally:
-                sys.setprofile(None)
-            largest = max(v for v in adjacency(board)[s] if v > s)
-            assert largest not in entered
-            if s == 1:
-                assert entered
+            requested.clear()
+            _dfs_one_start(board, k, s, lambda path, extremes: None)
+            seconds = sorted(v for v in adjacency(board)[s] if v > s)
+            assert [] not in requested
+            for i in range(len(seconds) - 1):
+                assert seconds[i + 1:] in requested
 
 
 class TestShardMemory:
