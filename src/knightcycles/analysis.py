@@ -9,9 +9,11 @@ import os
 import shutil
 import tempfile
 from dataclasses import dataclass
+from itertools import repeat
 
 from .board import BoardSpec, coord_of
-from .cycles import CycleSeq, CycleValidationError, canonical_cell_set, validate_cycle
+from .cycles import (CycleSeq, CycleValidationError, canonical_cell_set, knight_moves,
+                     validate_cycle)
 
 # Reference counts per cycle length: (nonequivalent classes, non-self-
 # intersecting among them).  Kept verbatim from the table this tool checks
@@ -29,6 +31,7 @@ EXPECTED_COUNTS: dict[int, tuple[int, int]] = {
 }
 
 _SVG_SCALE = 40  # pixels per board cell in rendered SVG
+_CHUNK = 1 << 12  # body chars a read; 64 KiB checked k=12 no faster, at +3.9 MB peak RSS
 
 
 @dataclass(frozen=True)
@@ -214,10 +217,42 @@ def read_listing(path):
 
 
 def _read_body(fh, header: CycleFileHeader):
+    """Test the body a chunk at a time, each test one pass in C: the writer's
+    own bytes, knight moves (the closing one too), no repeat, ascending, the
+    count.  A chunk that fails any test is read again line by line."""
+    k, board = header.k, header.board
+    line_format, moves = _body_format(k), knight_moves(board)
+    number = {str(cell): cell for cell in range(1, board.size + 1)}  # parse and range test
+    seen, previous = 0, ()
+    while lines := fh.readlines(_CHUNK):
+        n, text = len(lines), "".join(lines)
+        try:
+            cells = tuple(map(number.__getitem__, text.split()))
+        except KeyError:
+            cells = ()
+        if len(cells) == k * n and (line_format * n) % cells == text:
+            following = [*cells[1:], 0]
+            following[k - 1::k] = cells[::k]  # each cycle's last cell closes on its first
+            cycles = list(zip(*[iter(cells)] * k))
+            if (moves.issuperset(zip(cells, following))
+                    and min(map(len, map(set, cycles))) == k
+                    and all(map(tuple.__lt__, [previous, *cycles], cycles))
+                    and seen + n <= header.count):
+                yield from map(CycleSeq, cycles, repeat(board))
+                previous, seen = cycles[-1], seen + n
+                continue
+        previous, seen = yield from _read_lines(lines, header, previous, seen)
+    if seen != header.count:
+        raise ParseError(
+            f"header advertises count={header.count} but body has {seen}",
+            line=seen + 2)
+
+
+def _read_lines(lines, header: CycleFileHeader, previous, seen):
+    """Check ``lines`` (the first is line seen + 2) one at a time: yield each cycle,
+    raise ParseError at the first flaw.  Return the last cycle and the count."""
     line_format = _body_format(header.k)
-    seen = 0
-    previous: tuple[int, ...] = ()
-    for lineno, line in enumerate(fh, start=2):
+    for lineno, line in enumerate(lines, start=seen + 2):
         try:
             cells = tuple(map(int, line.split()))
         except ValueError:
@@ -241,10 +276,7 @@ def _read_body(fh, header: CycleFileHeader):
             yield validate_cycle(cells, header.board)
         except CycleValidationError as exc:
             raise ParseError(str(exc), line=lineno) from None
-    if seen != header.count:
-        raise ParseError(
-            f"header advertises count={header.count} but body has {seen}",
-            line=seen + 2)
+    return previous, seen
 
 
 def read_cycles(path):

@@ -89,6 +89,12 @@ def validate_cycle(cells, board: BoardSpec) -> CycleSeq:
     return CycleSeq(cells, board)
 
 
+@lru_cache(maxsize=None)
+def knight_moves(board: BoardSpec) -> frozenset[tuple[int, int]]:
+    """Every (cell, next cell) pair one knight move apart, from ``adjacency``."""
+    return frozenset((cell, nxt) for cell, nbrs in enumerate(adjacency(board)) for nxt in nbrs)
+
+
 def _canonical_coords(coords: list[Coord]) -> tuple[Coord, ...]:
     """Canonical placement of a cycle, as coordinates.
 

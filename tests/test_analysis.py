@@ -4,7 +4,7 @@ import stat
 
 import pytest
 
-from knightcycles import cli
+from knightcycles import analysis, cli
 from knightcycles.analysis import (
     EXPECTED_COUNTS,
     CycleFileWriter,
@@ -17,7 +17,7 @@ from knightcycles.analysis import (
     write_cycles,
 )
 from knightcycles.board import BoardSpec
-from knightcycles.cycles import canonical_key, validate_cycle
+from knightcycles.cycles import canonical_key, knight_moves, validate_cycle
 from conftest import CROSSING_K6, MINIMAL_K8_W5, TWIN_K8_W6
 
 
@@ -281,6 +281,122 @@ class TestCycleFiles:
         finally:
             os.umask(old)
         assert stat.S_IMODE((tmp_path / "x.cycles").stat().st_mode) == 0o666 & ~umask
+
+
+class TestChunkBoundaries:
+    """The reader tests the body a chunk of lines at a time.  A flaw at the
+    first, middle or last line of a chunk, or in a pair of lines across two
+    chunks, is named at its own line after exactly the cycles before it, and
+    the outcome does not depend on the chunk size."""
+
+    K = 10  # 12,000 lines, ~84 chunks
+
+    @pytest.fixture(scope="class")
+    def listing(self, keys_by_k, tmp_path_factory):
+        """The k=10 listing's header, its body lines with their LFs, and the
+        index of each chunk's first line."""
+        path = tmp_path_factory.mktemp("chunks") / "k10.cycles"
+        write_cycles(keys_by_k(self.K), path)
+        with open(path) as fh:
+            header = fh.readline()
+            starts = [0]
+            while lines := fh.readlines(analysis._CHUNK):
+                starts.append(starts[-1] + len(lines))
+        body = path.read_text().splitlines(keepends=True)[1:]
+        assert len(starts) > 75 and starts[-1] == len(body)
+        return header, body, starts[:-1]
+
+    @staticmethod
+    def positions(starts, body):
+        """First, middle and last line of the first, a middle and the last
+        chunk."""
+        ends = [*starts[1:], len(body)]
+        for c in (0, len(starts) // 2, len(starts) - 1):
+            yield from (starts[c], (starts[c] + ends[c]) // 2, ends[c] - 1)
+
+    @staticmethod
+    def outcome(path, monkeypatch, chunk):
+        monkeypatch.setattr(analysis, "_CHUNK", chunk)
+        cells = []
+        with pytest.raises(ParseError) as err:
+            cells.extend(cycle.cells for cycle in read_cycles(path))
+        return cells, str(err.value), err.value.line
+
+    def assert_flaw_at(self, tmp_path, monkeypatch, header, body, flaw, message):
+        """The edited listing yields body[:flaw], then fails at line flaw + 2
+        with ``message``, for the default, a one-line and a whole-file chunk."""
+        path = tmp_path / "edited.cycles"
+        path.write_text(header + "".join(body))
+        cells, error, line = self.outcome(path, monkeypatch, analysis._CHUNK)
+        assert cells == [tuple(map(int, text.split())) for text in body[:flaw]]
+        assert line == flaw + 2
+        assert error.startswith(f"line {line}: {message}"), error
+        for chunk in (1, 1 << 20):
+            assert self.outcome(path, monkeypatch, chunk) == (cells, error, line)
+
+    @pytest.mark.parametrize("edit", ["malformed", "out of range", "not a move",
+                                      "not closed", "repeated"])
+    def test_one_line_edit(self, listing, tmp_path, monkeypatch, edit):
+        header, body, starts = listing
+        size = (self.K + 1) ** 2
+        moves = knight_moves(BoardSpec.square(self.K + 1))
+        for at in self.positions(starts, body):
+            cells = list(map(int, body[at].split()))
+            if edit == "malformed":
+                text, message = body[at].replace(" ", "  ", 1), "malformed line"
+            else:
+                if edit == "out of range":
+                    cells[-1] = size + 1
+                    message = f"cell {size + 1} at position {self.K - 1} outside board"
+                elif edit == "not a move":  # a larger last cell keeps the order
+                    cells[-1] = min(c for c in range(cells[-1] + 1, size + 1)
+                                    if (cells[-2], c) not in moves and c not in cells)
+                    message = "step"
+                elif edit == "not closed":  # the last step holds, the closing one not
+                    cells[-1] = max(c for c in range(1, size + 1)
+                                    if (cells[-2], c) in moves
+                                    and (c, cells[0]) not in moves and c not in cells)
+                    message = "endpoints"
+                else:  # the cell two back is a knight move from the one before
+                    cells[-1] = cells[-3]
+                    message = f"cell {cells[-3]} repeated at position {self.K - 1}"
+                text = " ".join(map(str, cells)) + "\n"
+            edited = body[:at] + [text] + body[at + 1:]
+            self.assert_flaw_at(tmp_path, monkeypatch, header, edited, at,
+                                message)
+
+    @pytest.mark.parametrize("edit", ["swapped pair", "duplicated line"])
+    def test_pair_edit(self, listing, tmp_path, monkeypatch, edit):
+        """Two lines out of order, the first ending one chunk and the second
+        starting the next, or both within a chunk."""
+        header, body, starts = listing
+        for at in (starts[1] - 1, starts[len(starts) // 2] - 1, starts[-1] - 1,
+                   starts[2]):
+            if edit == "swapped pair":
+                edited = body[:at] + [body[at + 1], body[at]] + body[at + 2:]
+            else:
+                edited = body[:at + 1] + [body[at]] + body[at + 1:]
+            self.assert_flaw_at(tmp_path, monkeypatch, header, edited, at + 1,
+                                "cycles must be strictly ascending")
+
+    def test_dropped_final_lf(self, listing, tmp_path, monkeypatch):
+        header, body, _ = listing
+        edited = body[:-1] + [body[-1].rstrip("\n")]
+        self.assert_flaw_at(tmp_path, monkeypatch, header, edited, len(body) - 1,
+                            "malformed line")
+
+    @pytest.mark.parametrize("off", [1, -1])
+    def test_count_off_by_one(self, listing, tmp_path, monkeypatch, off):
+        header, body, _ = listing
+        count = len(body)
+        edited_header = header.replace(f"count={count}", f"count={count + off}")
+        assert edited_header != header
+        if off > 0:  # every line passes, and the count fails after the last
+            flaw, message = count, f"header advertises count={count + off}"
+        else:
+            flaw, message = count - 1, "more cycles than the advertised count"
+        self.assert_flaw_at(tmp_path, monkeypatch, edited_header, body, flaw,
+                            message)
 
 
 class TestRender:

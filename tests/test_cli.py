@@ -330,6 +330,37 @@ class TestListAndCheck:
         assert code == 1
         assert err.startswith(f"{out_file}: line 2: malformed line")
 
+    def test_check_reports_flaws_in_body_order(self, tmp_path, capsys, keys_by_k):
+        """A non-canonical line, then a malformed one in the same chunk of the
+        body: check names the non-canonical cycle, the first flaw it reads."""
+        listed = keys_by_k(8)
+        backwards = (listed[3][0], *listed[3][:0:-1])  # line 5's class, walked back
+        assert backwards not in listed
+        body = sorted([*listed, backwards])
+        at = body.index(backwards)
+        out_file = tmp_path / "k8.cycles"
+        write_cycles(body[at - 20:at + 21], out_file)  # backwards is cycle 21
+        lines = out_file.read_text().splitlines(keepends=True)
+        lines[23] = lines[23].replace(" ", "  ", 1)  # cycle 23
+        assert len("".join(lines[1:])) < analysis._CHUNK
+        out_file.write_text("".join(lines))
+        code, _, err = run_cli(capsys, "check", "--in", str(out_file))
+        assert code == 1
+        assert err == f"not canonical at cycle 21: {','.join(map(str, backwards))}\n"
+
+    def test_check_names_a_flaw_deep_in_the_body(self, tmp_path, capsys, keys_by_k):
+        """The k=10 listing with a repeated cell on line 5001 only."""
+        out_file = tmp_path / "k10.cycles"
+        write_cycles(keys_by_k(10), out_file)
+        lines = out_file.read_text().splitlines(keepends=True)
+        cells = lines[5000].split()
+        cells[-1] = cells[-3]  # still a knight move from the cell before it
+        lines[5000] = " ".join(cells) + "\n"
+        out_file.write_text("".join(lines))
+        code, _, err = run_cli(capsys, "check", "--in", str(out_file))
+        assert code == 1
+        assert err == f"{out_file}: line 5001: cell {cells[-1]} repeated at position 9\n"
+
     @pytest.mark.parametrize("source", ["stdin", "fifo"])
     def test_check_reads_a_stream_once(self, source, tmp_path, keys_by_k):
         """The k=10 listing, larger than a pipe's buffer, checks the same
