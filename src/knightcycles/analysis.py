@@ -32,6 +32,7 @@ EXPECTED_COUNTS: dict[int, tuple[int, int]] = {
 
 _SVG_SCALE = 40  # pixels per board cell in rendered SVG
 _CHUNK = 1 << 12  # body chars a read; 64 KiB checked k=12 no faster, at +3.9 MB peak RSS
+_HEADER_MAX = 128  # line 1 chars read at most: the writer's longest, LF included, is 75
 
 
 @dataclass(frozen=True)
@@ -209,7 +210,7 @@ def read_listing(path):
     ParseError names the line of a header or body line in any other form, an
     invalid cycle, a body out of ascending order or a count the body misses."""
     with open(path, encoding="ascii", errors="surrogateescape", newline="\n") as fh:
-        header_line = fh.readline()
+        header_line = fh.readline(_HEADER_MAX)
         if not header_line.endswith("\n"):
             raise ParseError(f"bad header {header_line!r}: want a final LF", line=1)
         header = read_cycle_header(header_line[:-1])
@@ -219,7 +220,8 @@ def read_listing(path):
 def _read_body(fh, header: CycleFileHeader):
     """Test the body a chunk at a time, each test one pass in C: the writer's
     own bytes, knight moves (the closing one too), no repeat, ascending, the
-    count.  A chunk that fails any test is read again line by line."""
+    count.  A chunk that fails any test is read again line by line: its cycles
+    before the first flaw are yielded, and ParseError names the flawed line."""
     k, board = header.k, header.board
     line_format, moves = _body_format(k), knight_moves(board)
     number = {str(cell): cell for cell in range(1, board.size + 1)}  # parse and range test
@@ -241,42 +243,33 @@ def _read_body(fh, header: CycleFileHeader):
                 yield from map(CycleSeq, cycles, repeat(board))
                 previous, seen = cycles[-1], seen + n
                 continue
-        previous, seen = yield from _read_lines(lines, header, previous, seen)
+        for lineno, line in enumerate(lines, start=seen + 2):
+            try:
+                cells = tuple(map(int, line.split()))
+            except ValueError:
+                cells = ()  # not numbers: malformed, as an empty line is
+            if not cells or len(cells) == k and line != line_format % cells:
+                raise ParseError(f"malformed line {line!r}", line=lineno)
+            if len(cells) != k:
+                raise ParseError(
+                    f"expected {k} cells, got {len(cells)}", line=lineno)
+            if cells <= previous:
+                raise ParseError(
+                    f"cycles must be strictly ascending: {cells} after {previous}",
+                    line=lineno)
+            previous, seen = cells, seen + 1
+            if seen > header.count:
+                raise ParseError(
+                    f"more cycles than the advertised count={header.count}",
+                    line=lineno)
+            try:
+                yield validate_cycle(cells, board)
+            except CycleValidationError as exc:
+                raise ParseError(str(exc), line=lineno) from None
     if seen != header.count:
         raise ParseError(
             f"header advertises count={header.count} but body has {seen}",
             line=seen + 2)
-
-
-def _read_lines(lines, header: CycleFileHeader, previous, seen):
-    """Check ``lines`` (the first is line seen + 2) one at a time: yield each cycle,
-    raise ParseError at the first flaw.  Return the last cycle and the count."""
-    line_format = _body_format(header.k)
-    for lineno, line in enumerate(lines, start=seen + 2):
-        try:
-            cells = tuple(map(int, line.split()))
-        except ValueError:
-            cells = ()  # not numbers: malformed, as an empty line is
-        if not cells or len(cells) == header.k and line != line_format % cells:
-            raise ParseError(f"malformed line {line!r}", line=lineno)
-        if len(cells) != header.k:
-            raise ParseError(
-                f"expected {header.k} cells, got {len(cells)}", line=lineno)
-        if cells <= previous:
-            raise ParseError(
-                f"cycles must be strictly ascending: {cells} after {previous}",
-                line=lineno)
-        previous = cells
-        seen += 1
-        if seen > header.count:
-            raise ParseError(
-                f"more cycles than the advertised count={header.count}",
-                line=lineno)
-        try:
-            yield validate_cycle(cells, header.board)
-        except CycleValidationError as exc:
-            raise ParseError(str(exc), line=lineno) from None
-    return previous, seen
 
 
 def read_cycles(path):

@@ -71,6 +71,11 @@ class TestVerifyTables:
         assert capsys.readouterr().err == (
             "MISMATCH: k=6 dfs: expected 26 classes, got 25\n"
             "MISMATCH: k=6 mitm: expected 26 classes, got 25\n")
+        monkeypatch.setitem(EXPECTED_COUNTS, 6, (25, 14))
+        assert cli.main(["verify", "--max-length", "6"]) == 1
+        assert capsys.readouterr().err == (
+            "MISMATCH: k=6 dfs: expected 14 simple, got 13\n"
+            "MISMATCH: k=6 mitm: expected 14 simple, got 13\n")
 
     @pytest.mark.parametrize("bad", [3, 18, 7])
     def test_rejects_bad_max_length(self, bad, monkeypatch, capsys):
@@ -170,23 +175,36 @@ class TestCycleFiles:
                 list(read_cycles(path))
             assert err.value.line == 3
 
-    def test_only_the_writers_bytes_are_read(self, tmp_path, keys_by_k):
+    def test_only_the_writers_bytes_are_read(self, tmp_path, keys_by_k, monkeypatch):
         """Every one-place edit of the k=4 listing, a byte replaced by or an
         insertion of one of these near misses, is rejected with ParseError
-        or leaves the bytes the writer wrote."""
+        or leaves the bytes the writer wrote.  Read one line a chunk, each edit
+        yields the same cycles, and fails with the same message and line, as
+        at the default chunk size."""
         path = tmp_path / "k4.cycles"
         write_cycles(keys_by_k(4), path)
         original = path.read_bytes()
         edits = (b" ", b"  ", b"\r", b"\t", b"0", b"+", b"_", b"\n", b"",
                  b"\xff", "\u0662".encode(), b"1", b"9")
+
+        def outcome():
+            cells = []
+            try:
+                cells.extend(cycle.cells for cycle in read_cycles(path))
+            except ParseError as exc:
+                return cells, str(exc), exc.line
+            return cells, None, None
+
         for at in range(len(original) + 1):
             for edit in edits:
                 for data in (original[:at] + edit + original[at:],
                              original[:at] + edit + original[at + 1:]):
                     path.write_bytes(data)
-                    try:
-                        list(read_cycles(path))
-                    except ParseError:
+                    chunked = outcome()
+                    with monkeypatch.context() as patch:
+                        patch.setattr(analysis, "_CHUNK", 1)
+                        assert outcome() == chunked
+                    if chunked[1] is not None:  # rejected with ParseError
                         continue
                     assert data == original
 
@@ -219,6 +237,13 @@ class TestCycleFiles:
         with pytest.raises(ValueError, match="ascending"):
             write_cycles([keys[1], keys[0]], tmp_path / "x.cycles")
         assert not (tmp_path / "x.cycles").exists()
+        with pytest.raises(ValueError, match="filter tag"):
+            CycleFileWriter(tmp_path / "x.cycles", 4, "both")
+        assert not (tmp_path / "x.cycles").exists()
+        with pytest.raises(ValueError, match="expected 4 cells per cycle, got 3"):
+            with CycleFileWriter(tmp_path / "x.cycles", 4) as writer:
+                writer.write(keys[0][:3])
+        assert list(tmp_path.iterdir()) == []
 
     def test_empty_listing_needs_length(self, tmp_path):
         with pytest.raises(ValueError, match="length"):

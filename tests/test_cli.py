@@ -320,6 +320,18 @@ class TestListAndCheck:
         assert "line 1: bad header" in err
         assert "(k+1)x(k+1) board" in err
 
+    def test_check_reads_a_bounded_line_1(self, tmp_path, capsys):
+        """1 MiB with no LF fails on line 1 as a header with no final LF, in
+        one short stderr line: line 1 is read only up to a bound above the
+        writer's longest header."""
+        out_file = tmp_path / "x.cycles"
+        out_file.write_bytes(b"x" * (1 << 20))
+        code, _, err = run_cli(capsys, "check", "--in", str(out_file))
+        assert code == 1
+        assert err.startswith(f"{out_file}: line 1: bad header 'xxx")
+        assert err.endswith("': want a final LF\n")
+        assert err.count("\n") == 1 and len(err.encode()) < 512
+
     def test_check_names_an_undecodable_byte(self, tmp_path, capsys):
         """A byte outside ASCII is a malformed line: exit 1 with the file
         and line, not a decode error reported as a usage error."""
