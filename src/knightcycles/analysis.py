@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import contextlib
 import errno
+import io
 import os
 import shutil
 import tempfile
@@ -221,13 +222,15 @@ def _read_body(fh, header: CycleFileHeader):
     """Test the body a chunk at a time, each test one pass in C: the writer's
     own bytes, knight moves (the closing one too), no repeat, ascending, the
     count.  A chunk that fails any test is read again line by line: its cycles
-    before the first flaw are yielded, and ParseError names the flawed line."""
+    before the first flaw are yielded, and ParseError names the flawed line.
+    A line longer than the writer's longest is malformed (see _line_chunks)."""
     k, board = header.k, header.board
     line_format, moves = _body_format(k), knight_moves(board)
     number = {str(cell): cell for cell in range(1, board.size + 1)}  # parse and range test
+    longest = k * (len(str(board.size)) + 1)  # the writer's longest line, LF included
     seen, previous = 0, ()
-    while lines := fh.readlines(_CHUNK):
-        n, text = len(lines), "".join(lines)
+    for text in _line_chunks(fh, longest):
+        n = text.count("\n") or 1  # the last line may lack its LF
         try:
             cells = tuple(map(number.__getitem__, text.split()))
         except KeyError:
@@ -243,13 +246,14 @@ def _read_body(fh, header: CycleFileHeader):
                 yield from map(CycleSeq, cycles, repeat(board))
                 previous, seen = cycles[-1], seen + n
                 continue
-        for lineno, line in enumerate(lines, start=seen + 2):
+        for lineno, line in enumerate(io.StringIO(text, newline="\n"), start=seen + 2):
             try:
                 cells = tuple(map(int, line.split()))
             except ValueError:
                 cells = ()  # not numbers: malformed, as an empty line is
-            if not cells or len(cells) == k and line != line_format % cells:
-                raise ParseError(f"malformed line {line!r}", line=lineno)
+            if (not cells or len(line) > longest
+                    or len(cells) == k and line != line_format % cells):
+                raise ParseError(f"malformed line {line[:longest]!r}", line=lineno)
             if len(cells) != k:
                 raise ParseError(
                     f"expected {k} cells, got {len(cells)}", line=lineno)
@@ -270,6 +274,24 @@ def _read_body(fh, header: CycleFileHeader):
         raise ParseError(
             f"header advertises count={header.count} but body has {seen}",
             line=seen + 2)
+
+
+def _line_chunks(fh, longest: int):
+    """Yield the whole lines of fh, ~_CHUNK characters at a time, then a last
+    line that lacks its LF, if any.  A line that reaches ``longest``
+    characters with no LF is malformed at once, so an endless one is too."""
+    carry, lines = "", 0
+    while data := fh.read(_CHUNK):
+        text = carry + data
+        end = text.rfind("\n") + 1
+        if end:
+            lines += text.count("\n")
+            yield text[:end]
+        carry = text[end:]
+        if len(carry) >= longest:
+            raise ParseError(f"malformed line {carry[:longest]!r}", line=lines + 2)
+    if carry:
+        yield carry
 
 
 def read_cycles(path):

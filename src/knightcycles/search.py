@@ -17,7 +17,7 @@ every class exactly once, with no memory of previously found solutions in
 either engine.  It finds the
 disjoint partners of a half through per-cell bitsets, and skips a pair whose
 symmetry images already start below s, judged from the two halves' bounding
-box extremes, before building its sequence.
+box extremes, or at s = 1 whose transpose is below it, before building it.
 
 ``enumerate_cycles`` is the only driver.  It splits the work into shards,
 one start cell ``(s,)`` for dfs and one pair ``(s, t)`` for mitm, and runs
@@ -47,7 +47,7 @@ from functools import lru_cache, partial
 from itertools import islice
 
 from .board import BoardSpec, adjacency
-from .cycles import _FAR, _is_minimal_given, _side_extremes
+from .cycles import _FAR, _is_minimal_given, _side_extremes, _symmetry_tables
 from .geometry import CrossingTable, crossing_table
 
 UNREACHED = 255
@@ -131,13 +131,15 @@ def _dfs_one_start(board: BoardSpec, k: int, s: int, emit) -> None:
     visited, and the running box.  Every symmetry image must start at an
     offset of at least s - 1 (see cycles._is_minimal_given), so the path
     carries its side extremes: the max row and column, the max column on
-    row 0 and the min and max row on column 0.  Every later cell must still
-    get back to s, at row 0, so the final max row is at most
+    row 0, the min and max row on column 0, the min and max column on its
+    last row and the min and max row on its last column.  Every later cell
+    must still get back to s, at row 0, so the final max row is at most
     row(v) // 2 + remaining and the final max column at most
     (col(v) + col(s)) // 2 + remaining; each child comes with its row,
-    column and both halves.
-    The bottom-row and right-column extremes are read off the path at the
-    leaf, once its box is final.
+    column and both halves.  Once that bound is the path's own max row, its
+    last row is the final bottom one, whose offsets can only fall: a child
+    is cut once one is below s - 1, and so for the last column.  The box is
+    final at the leaf, so the walk emits the closures whose offsets pass.
     """
     side = board.width
     size = board.size
@@ -154,7 +156,8 @@ def _dfs_one_start(board: BoardSpec, k: int, s: int, emit) -> None:
     path = [s]
 
     def extend(u: int, depth: int, kids, last_row: int, last_col: int,
-               top_max: int, left_min: int, left_max: int) -> None:
+               top_max: int, left_min: int, left_max: int, bottom_min: int,
+               bottom_max: int, right_min: int, right_max: int) -> None:
         remaining = k - depth
         for v, r, c, r_half, c_half in kids[remaining][u]:
             if visited[v]:
@@ -170,42 +173,41 @@ def _dfs_one_start(board: BoardSpec, k: int, s: int, emit) -> None:
             elif r == 0 and c > top:
                 top = c
             # Conditional expressions: builtin min/max calls cost more here.
-            row = r if r > last_row else last_row
-            col = c if c > last_col else last_col
-            row_up = r_half + remaining
-            col_up = c_half + remaining
-            if ((col_up if col_up > col else col) - top < low
-                    or (row_up if row_up > row else row) - left < low):
+            if r > last_row:
+                row, b_lo, b_hi = r, c, c
+            elif r == last_row:
+                row, b_lo = r, c if c < bottom_min else bottom_min
+                b_hi = c if c > bottom_max else bottom_max
+            else:
+                row, b_lo, b_hi = last_row, bottom_min, bottom_max
+            if c > last_col:
+                col, r_lo, r_hi = c, r, r
+            elif c == last_col:
+                col, r_lo = c, r if r < right_min else right_min
+                r_hi = r if r > right_max else right_max
+            else:
+                col, r_lo, r_hi = last_col, right_min, right_max
+            # The final box: once row_up == row, row is its last row.
+            row_up = r_half + remaining if r_half + remaining > row else row
+            col_up = c_half + remaining if c_half + remaining > col else col
+            if (col_up - top < low or row_up - left < low
+                    or row_up == row and (b_lo < low or col_up - b_hi < low)
+                    or col_up == col and (r_lo < low or row_up - r_hi < low)):
                 continue
             path.append(v)
             if remaining == 1:
-                # The cells numbered bottom or more are those on the last row.
-                bottom = row * side + 1
-                bottom_min = right_min = size
-                bottom_max = right_max = -1
-                for x in path:
-                    if x >= bottom:
-                        if x < bottom_min:
-                            bottom_min = x
-                        if x > bottom_max:
-                            bottom_max = x
-                    if cols[x] == col:
-                        x_row = rows[x]
-                        if x_row < right_min:
-                            right_min = x_row
-                        if x_row > right_max:
-                            right_max = x_row
-                emit(path, (row, col, top, left_lo, left, bottom_min - bottom,
-                            bottom_max - bottom, right_min, right_max))
+                emit(path, (row, col, top, left_lo, left, b_lo, b_hi, r_lo,
+                            r_hi))
             else:
                 visited[v] = 1
                 extend(v, depth + 1, on_col0 if c == 0 else kids, row, col,
-                       top, left_lo, left)
+                       top, left_lo, left, b_lo, b_hi, r_lo, r_hi)
                 visited[v] = 0
             path.pop()
 
-    # The column-0 extremes stay (_FAR, -_FAR) until the path touches it.
-    left = (0, 0) if s_col == 0 else (_FAR, -_FAR)
+    # The column-0 extremes are (_FAR, low) until the path touches it: no
+    # column-0 cell on a row below low passes the tables.
+    left = (0, 0) if s_col == 0 else (_FAR, low)
     # No neighbour of s lies above the largest: a path through it cannot close.
     for second in adj_s[s][:-1]:
         closing = _distances(adj_s, [n for n in adj_s[s] if n > second], size)
@@ -229,7 +231,8 @@ def _dfs_one_start(board: BoardSpec, k: int, s: int, emit) -> None:
                 reached.update((v, touched or cols[v] == 0)
                                for v, *_ in children)
             states = reached
-        extend(s, 1, tables[s_col == 0], 0, s_col, s_col, *left)
+        extend(s, 1, tables[s_col == 0], 0, s_col, s_col, *left, s_col, s_col,
+               0, 0)
     del extend  # it refers to itself: free the walk's state without the gc
 
 
@@ -286,7 +289,8 @@ def _mitm_one_pair(board: BoardSpec, k: int, s: int, t: int, emit,
     The join tests the offsets inline, side by side with early exits, and
     does not share the core's offset computation: a helper call on a 9-tuple
     for every pair tried took the k=12 join from 2.0-2.3 s to 3.3-3.9 s of
-    CPU.
+    CPU.  At s = 1 every closure ties with its transpose image, and the join
+    drops the pairs whose image wins that tie before it tests their sides.
     """
     low = s - 1
     # A half whose own column-0 cells start an image below s joins nothing.
@@ -323,13 +327,25 @@ def _mitm_one_pair(board: BoardSpec, k: int, s: int, t: int, emit,
     # bitsets are disjoint, so their sum is their union).
     above = {c: sum(bits for d, bits in seconds.items() if d > c)
              for c in seconds}
+    # At s = 1 every closure ties with its transpose T, which fixes cell 1.
+    # Read from cell 1 forwards, T is never below it (a[1] < b[1] = T(a[1])),
+    # backwards exactly when T(b)[1:] < a[1:]: as the a side ascends, a sweep
+    # over the b halves sorted by T(b)[1:] grows each a's losers.
+    transpose = _symmetry_tables(board.width)[3]
+    flips = sorted((tuple(map(transpose.__getitem__, cells[1:])), 1 << j)
+                   for j, (cells, _, _) in enumerate(b_side)) if s == 1 else []
+    flips.append(((_FAR,), 0))  # a sentinel above every a[1:]
+    losers = flip = 0
     for (a_cells, (a_rows, a_cols, a_top, a_left_min, a_left_max, a_bottom_min,
                    a_bottom_max, a_right_min, a_right_max),
          (a_edges, a_crossed)) in halves:
         clash = 0
         for c in a_cells[1:-1]:
             clash |= holders[c]
-        partners = above[a_cells[1]] & ~clash
+        while flips[flip][0] < a_cells[1:]:
+            losers |= flips[flip][1]
+            flip += 1
+        partners = above[a_cells[1]] & ~(clash | losers)
         if a_left_min == _FAR:
             partners &= col0
         if a_rows < 2 * low:

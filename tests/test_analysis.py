@@ -325,8 +325,8 @@ class TestChunkBoundaries:
         with open(path) as fh:
             header = fh.readline()
             starts = [0]
-            while lines := fh.readlines(analysis._CHUNK):
-                starts.append(starts[-1] + len(lines))
+            for text in analysis._line_chunks(fh, 1 << 20):
+                starts.append(starts[-1] + text.count("\n"))
         body = path.read_text().splitlines(keepends=True)[1:]
         assert len(starts) > 75 and starts[-1] == len(body)
         return header, body, starts[:-1]
@@ -359,8 +359,8 @@ class TestChunkBoundaries:
         for chunk in (1, 1 << 20):
             assert self.outcome(path, monkeypatch, chunk) == (cells, error, line)
 
-    @pytest.mark.parametrize("edit", ["malformed", "out of range", "not a move",
-                                      "not closed", "repeated"])
+    @pytest.mark.parametrize("edit", ["malformed", "too long", "out of range",
+                                      "not a move", "not closed", "repeated"])
     def test_one_line_edit(self, listing, tmp_path, monkeypatch, edit):
         header, body, starts = listing
         size = (self.K + 1) ** 2
@@ -369,6 +369,9 @@ class TestChunkBoundaries:
             cells = list(map(int, body[at].split()))
             if edit == "malformed":
                 text, message = body[at].replace(" ", "  ", 1), "malformed line"
+            elif edit == "too long":  # 2k cells: named, cut to the longest line
+                text = body[at][:-1] + " " + body[at]
+                message = f"malformed line {text[:4 * self.K]!r}"
             else:
                 if edit == "out of range":
                     cells[-1] = size + 1

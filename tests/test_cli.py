@@ -1,7 +1,9 @@
+import contextlib
 import errno
 import fcntl
 import os
 import re
+import resource
 import select
 import signal
 import stat
@@ -331,6 +333,41 @@ class TestListAndCheck:
         assert err.startswith(f"{out_file}: line 1: bad header 'xxx")
         assert err.endswith("': want a final LF\n")
         assert err.count("\n") == 1 and len(err.encode()) < 512
+
+    @pytest.mark.parametrize("endless", [True, False])
+    def test_check_reads_a_bounded_body_line(self, tmp_path, endless):
+        """A valid header, then /dev/zero or 1 MiB with no LF: line 2 is read
+        only up to the writer's longest body line, so check exits 1 at once
+        with one short stderr line.  The child's address space is capped, so
+        a reader that grows the line fails instead of filling memory."""
+        header = analysis._header_line(8, 480, "all") + "\n"
+        limit = (1 << 30, 1 << 30)
+        cap = lambda: resource.setrlimit(resource.RLIMIT_AS, limit)
+        if not endless:
+            path = tmp_path / "no-lf.cycles"
+            path.write_text(header + "x" * (1 << 20))
+            done = check_in_child(path, preexec_fn=cap)
+        else:
+            path = "/dev/stdin"
+            read_fd, write_fd = os.pipe()
+
+            def feed_zeros():
+                with open(write_fd, "wb", buffering=0) as out:
+                    with contextlib.suppress(BrokenPipeError):
+                        out.write(header.encode())
+                        while True:
+                            out.write(bytes(1 << 16))
+
+            feeder = threading.Thread(target=feed_zeros)
+            feeder.start()
+            try:
+                with open(read_fd, "rb") as stdin:
+                    done = check_in_child(path, stdin=stdin, preexec_fn=cap)
+            finally:
+                feeder.join()
+        assert done.returncode == 1
+        assert done.stderr.startswith(f"{path}: line 2: malformed line ")
+        assert done.stderr.count("\n") == 1 and len(done.stderr.encode()) < 512
 
     def test_check_names_an_undecodable_byte(self, tmp_path, capsys):
         """A byte outside ASCII is a malformed line: exit 1 with the file

@@ -194,7 +194,7 @@ class TestAssemble:
 class TestJoinPrefilter:
     """The join's start test only drops pairs the canonicity test rejects."""
 
-    @pytest.mark.parametrize("k, candidates", [(8, 1002), (10, 25206)])
+    @pytest.mark.parametrize("k, candidates", [(8, 795), (10, 20315)])
     def test_same_survivors_as_every_glued_pair(self, k, candidates):
         board = BoardSpec.for_cycle_length(k)
         side = board.width
@@ -221,6 +221,48 @@ class TestJoinPrefilter:
         # Closures handed to the canonicity test (a count, not a speed):
         # 3159 at k=8 and 89268 at k=10 without the start test.
         assert emitted_total == candidates
+
+    @pytest.mark.parametrize("k", [6, 8, 10])
+    def test_start1_drops_only_transpose_losers(self, k):
+        """The join emits the dfs closures, less the start-1 ones whose
+        transpose image, read from cell 1, is below them; the canonicity
+        core rejects every one of those."""
+        board = BoardSpec.for_cycle_length(k)
+        side = board.width
+        transpose = cycles._symmetry_tables(side)[3]
+        joined: set = set()
+        walked: set = set()
+        for s in range(1, search._last_start(k) + 1):
+            _dfs_one_start(board, k, s, lambda path, extremes: walked.add(
+                (tuple(path), extremes)))
+            for t in _mitm_pairs_for_start(board, k, s):
+                _mitm_one_pair(board, k, s, t, lambda seq, extremes, simple:
+                               joined.add((seq, extremes)))
+        dropped = {(seq, extremes) for seq, extremes in walked
+                   if seq[0] == 1 and cycles._image_below(seq, transpose, 1)}
+        assert dropped
+        assert joined == walked - dropped
+        assert not any(_is_minimal_given(seq, side, extremes)
+                       for seq, extremes in dropped)
+
+    @pytest.mark.parametrize("k, digest", [
+        (6, "63a856f45bd26fcaa185334b46d61db7fdda5a9595b7d2ce2b72c4bf56921a10"),
+        (8, "46088d6e1cacc81396b254854ce3e564ddb55b6b5ce083049e0ad966c0f65d3d"),
+        (10, "ad776226d0bedb0117d26a9bc8e88e5e675776e116d21eb2862d9df2a7fb7471"),
+    ])
+    def test_emission_stream_is_pinned(self, k, digest):
+        """What the join hands the canonicity core, in the order it does:
+        the sha256 of one line per emission, its sequence, side extremes
+        and simple flag, shard by shard in plan order."""
+        board = BoardSpec.for_cycle_length(k)
+        table = crossing_table(board)
+        lines: list[str] = []
+        for s in range(1, k // 2 + 2):
+            for t in _mitm_pairs_for_start(board, k, s):
+                _mitm_one_pair(board, k, s, t, lambda seq, extremes, simple:
+                               lines.append(f"{seq} {extremes} {simple}\n"),
+                               table)
+        assert hashlib.sha256("".join(lines).encode()).hexdigest() == digest
 
 
 class TestStartBound:
@@ -300,7 +342,7 @@ class TestEmissionOrder:
 class TestDfsPrefilter:
     """The dfs cuts only drop closures the canonicity test rejects."""
 
-    @pytest.mark.parametrize("k, candidates", [(6, 52), (8, 1218), (10, 32641)])
+    @pytest.mark.parametrize("k, candidates", [(6, 47), (8, 1002), (10, 25206)])
     def test_same_survivors_as_the_unpruned_recursion(self, k, candidates):
         board = BoardSpec.for_cycle_length(k)
         emitted_total = 0
@@ -317,10 +359,31 @@ class TestDfsPrefilter:
         # 254 at k=6, 6318 at k=8 and 178536 at k=10 with the unpruned cuts.
         assert emitted_total == candidates
 
+    @pytest.mark.parametrize("k", [6, 8, 10])
+    def test_emissions_are_the_offset_passing_closures(self, k):
+        """Once its box is final the walk keeps only what the core's start
+        test would pass: its (sequence, extremes) emissions are the
+        closures, walked one way, whose seven start offsets are >= s - 1."""
+        board = BoardSpec.for_cycle_length(k)
+        side = board.width
+        for s in range(1, k // 2 + 2):
+            emitted: set = set()
+            _dfs_one_start(board, k, s, lambda path, extremes: emitted.add(
+                (tuple(path), extremes)))
+            reference = set()
+            for seq in _unpruned_dfs(board, k, s):
+                (rows, cols, top, left_min, left_max, bottom_min, bottom_max,
+                 right_min, right_max) = extremes = _side_extremes(seq, side)
+                if seq[1] < seq[-1] and min(
+                        cols - top, left_min, rows - left_max, bottom_min,
+                        cols - bottom_max, right_min, rows - right_max) >= s - 1:
+                    reference.add((seq, extremes))
+            assert emitted == reference
+
     @pytest.mark.parametrize("k, digest", [
-        (6, "00e198ddce504a01ec7791e3bc81ad1eebe2b20fa7cff01c2f3433eaed42076b"),
-        (8, "2303055f89a554d2222929fb86c497ae65b25db6012f6399705159e3a3da0075"),
-        (10, "a2d9528b8ea94e8e43677fa355c59909d64d02996d82a2f8333692578581e48a"),
+        (6, "065eab3d4165e14df75a3b20d40df6f96bc88cdbef4075a58d11b3b038fc7885"),
+        (8, "34581b753d1d5f7a05df55d8c001c82781949a25bc4bd60670e5eef48cb8177f"),
+        (10, "9b0b54ba5dbe3ea1231455762d6b2127f21d1e17b5041aac8c2c23444caa31e2"),
     ])
     def test_emitted_set_is_pinned(self, k, digest):
         """The closures handed to the canonicity test, not only their count
@@ -361,7 +424,8 @@ class TestShardMemory:
     the cyclic garbage collector next runs."""
 
     @pytest.mark.parametrize("algorithm, shard", [("dfs", (2,)),
-                                                  ("mitm", (2, 13))])
+                                                  ("mitm", (2, 13)),
+                                                  ("mitm", (1, 16))])
     def test_a_shard_leaves_no_cyclic_garbage(self, algorithm, shard):
         gc.collect()
         gc.disable()
