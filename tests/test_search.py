@@ -31,6 +31,29 @@ from knightcycles.search import (
 )
 from conftest import EXPECTED_SMALL
 
+# The pinned values live here, keyed by k, and the test ids name k alone, so
+# an intended change of a value does not rename its test.
+# Closures the join hands the canonicity test (a count, not a speed): 3159 at
+# k=8 and 89268 at k=10 without the start test.
+JOIN_CANDIDATES = {8: 795, 10: 20315}
+# What the join hands the core, in order (TestJoinPrefilter).
+JOIN_STREAM_SHA256 = {
+    6: "63a856f45bd26fcaa185334b46d61db7fdda5a9595b7d2ce2b72c4bf56921a10",
+    8: "46088d6e1cacc81396b254854ce3e564ddb55b6b5ce083049e0ad966c0f65d3d",
+    10: "ad776226d0bedb0117d26a9bc8e88e5e675776e116d21eb2862d9df2a7fb7471",
+}
+# Classes that start at cell 4, the last start the bound allows.
+START_4_CLASSES = {8: 6, 10: 63}
+# Closures the dfs hands the canonicity test: 254 at k=6, 6318 at k=8 and
+# 178536 at k=10 with the unpruned cuts.
+DFS_CANDIDATES = {6: 47, 8: 1002, 10: 25206}
+# The sorted set the dfs hands the core (TestDfsPrefilter).
+DFS_SET_SHA256 = {
+    6: "065eab3d4165e14df75a3b20d40df6f96bc88cdbef4075a58d11b3b038fc7885",
+    8: "34581b753d1d5f7a05df55d8c001c82781949a25bc4bd60670e5eef48cb8177f",
+    10: "9b0b54ba5dbe3ea1231455762d6b2127f21d1e17b5041aac8c2c23444caa31e2",
+}
+
 
 def _mask(cells) -> int:
     return sum(1 << c for c in cells)
@@ -194,8 +217,8 @@ class TestAssemble:
 class TestJoinPrefilter:
     """The join's start test only drops pairs the canonicity test rejects."""
 
-    @pytest.mark.parametrize("k, candidates", [(8, 795), (10, 20315)])
-    def test_same_survivors_as_every_glued_pair(self, k, candidates):
+    @pytest.mark.parametrize("k", sorted(JOIN_CANDIDATES))
+    def test_same_survivors_as_every_glued_pair(self, k):
         board = BoardSpec.for_cycle_length(k)
         side = board.width
         col0 = _mask(range(1, board.size + 1, side))
@@ -218,9 +241,7 @@ class TestJoinPrefilter:
                 assert {seq for seq in emitted
                         if is_minimal(CycleSeq(seq, board))} == brute
                 emitted_total += len(emitted)
-        # Closures handed to the canonicity test (a count, not a speed):
-        # 3159 at k=8 and 89268 at k=10 without the start test.
-        assert emitted_total == candidates
+        assert emitted_total == JOIN_CANDIDATES[k]
 
     @pytest.mark.parametrize("k", [6, 8, 10])
     def test_start1_drops_only_transpose_losers(self, k):
@@ -245,12 +266,8 @@ class TestJoinPrefilter:
         assert not any(_is_minimal_given(seq, side, extremes)
                        for seq, extremes in dropped)
 
-    @pytest.mark.parametrize("k, digest", [
-        (6, "63a856f45bd26fcaa185334b46d61db7fdda5a9595b7d2ce2b72c4bf56921a10"),
-        (8, "46088d6e1cacc81396b254854ce3e564ddb55b6b5ce083049e0ad966c0f65d3d"),
-        (10, "ad776226d0bedb0117d26a9bc8e88e5e675776e116d21eb2862d9df2a7fb7471"),
-    ])
-    def test_emission_stream_is_pinned(self, k, digest):
+    @pytest.mark.parametrize("k", sorted(JOIN_STREAM_SHA256))
+    def test_emission_stream_is_pinned(self, k):
         """What the join hands the canonicity core, in the order it does:
         the sha256 of one line per emission, its sequence, side extremes
         and simple flag, shard by shard in plan order."""
@@ -262,7 +279,8 @@ class TestJoinPrefilter:
                 _mitm_one_pair(board, k, s, t, lambda seq, extremes, simple:
                                lines.append(f"{seq} {extremes} {simple}\n"),
                                table)
-        assert hashlib.sha256("".join(lines).encode()).hexdigest() == digest
+        assert (hashlib.sha256("".join(lines).encode()).hexdigest()
+                == JOIN_STREAM_SHA256[k])
 
 
 class TestStartBound:
@@ -296,10 +314,10 @@ class TestStartBound:
                 assert all(_pair_emissions(board, k, s, t) == []
                            for t in _mitm_pairs_for_start(board, k, s))
 
-    @pytest.mark.parametrize("k, classes", [(8, 6), (10, 63)])
-    def test_tight_at_start_4(self, k, classes, keys_by_k):
+    @pytest.mark.parametrize("k", sorted(START_4_CLASSES))
+    def test_tight_at_start_4(self, k, keys_by_k):
         assert 8 * (4 - 1) <= 3 * k < 8 * (5 - 1)
-        assert sum(key[0] == 4 for key in keys_by_k(k)) == classes
+        assert sum(key[0] == 4 for key in keys_by_k(k)) == START_4_CLASSES[k]
 
 
 class TestHalfMaskSimplicity:
@@ -342,8 +360,8 @@ class TestEmissionOrder:
 class TestDfsPrefilter:
     """The dfs cuts only drop closures the canonicity test rejects."""
 
-    @pytest.mark.parametrize("k, candidates", [(6, 47), (8, 1002), (10, 25206)])
-    def test_same_survivors_as_the_unpruned_recursion(self, k, candidates):
+    @pytest.mark.parametrize("k", sorted(DFS_CANDIDATES))
+    def test_same_survivors_as_the_unpruned_recursion(self, k):
         board = BoardSpec.for_cycle_length(k)
         emitted_total = 0
         for s in range(1, k // 2 + 2):
@@ -355,9 +373,7 @@ class TestDfsPrefilter:
             assert {seq for seq in emitted
                     if is_minimal(CycleSeq(seq, board))} == reference
             emitted_total += len(emitted)
-        # Closures handed to the canonicity test (a count, not a speed):
-        # 254 at k=6, 6318 at k=8 and 178536 at k=10 with the unpruned cuts.
-        assert emitted_total == candidates
+        assert emitted_total == DFS_CANDIDATES[k]
 
     @pytest.mark.parametrize("k", [6, 8, 10])
     def test_emissions_are_the_offset_passing_closures(self, k):
@@ -380,19 +396,15 @@ class TestDfsPrefilter:
                     reference.add((seq, extremes))
             assert emitted == reference
 
-    @pytest.mark.parametrize("k, digest", [
-        (6, "065eab3d4165e14df75a3b20d40df6f96bc88cdbef4075a58d11b3b038fc7885"),
-        (8, "34581b753d1d5f7a05df55d8c001c82781949a25bc4bd60670e5eef48cb8177f"),
-        (10, "9b0b54ba5dbe3ea1231455762d6b2127f21d1e17b5041aac8c2c23444caa31e2"),
-    ])
-    def test_emitted_set_is_pinned(self, k, digest):
+    @pytest.mark.parametrize("k", sorted(DFS_SET_SHA256))
+    def test_emitted_set_is_pinned(self, k):
         """The closures handed to the canonicity test, not only their count
         and survivors: the sha256 of their sorted listing, one per line."""
         board = BoardSpec.for_cycle_length(k)
         emitted = sorted(seq for s in range(1, k // 2 + 2)
                          for seq in _dfs_emissions(board, k, s))
         text = "".join(" ".join(map(str, seq)) + "\n" for seq in emitted)
-        assert hashlib.sha256(text.encode()).hexdigest() == digest
+        assert hashlib.sha256(text.encode()).hexdigest() == DFS_SET_SHA256[k]
 
     def test_largest_second_cell_is_never_entered(self, monkeypatch):
         """No neighbour of s lies above the largest one, so no path through
