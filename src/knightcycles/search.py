@@ -14,10 +14,10 @@ assembly engine builds all half-length paths from s to one possible
 opposite cell t and glues disjoint pairs; each closed sequence arises from
 exactly one ordered pair of halves, so canonical filtering again counts
 every class exactly once, with no memory of previously found solutions in
-either engine.  It finds the
-disjoint partners of a half through per-cell bitsets, and skips a pair whose
-symmetry images already start below s, judged from the two halves' bounding
-box extremes, or at s = 1 whose transpose is below it, before building it.
+either engine.  ``_join_index`` indexes the halves of one (s, t) pair in
+per-cell bitsets, and the pair loop of ``_mitm_one_pair`` reads it: it finds
+a half's disjoint partners and, before building a pair, skips it when the
+halves' box extremes put an image below s, or at s = 1 its transpose wins.
 
 ``enumerate_cycles`` is the only driver.  It splits the work into shards,
 one start cell ``(s,)`` for dfs and one pair ``(s, t)`` for mitm, and runs
@@ -267,31 +267,13 @@ def _half_paths_raw(board: BoardSpec, k: int, s: int, t: int):
     return out
 
 
-def _mitm_one_pair(board: BoardSpec, k: int, s: int, t: int, emit,
-                   table: CrossingTable | None = None) -> None:
-    """emit(sequence, extremes, simple), in ascending order of the sequences,
-    for the closures with start s and opposite cell t that two s -> t halves
-    with disjoint interiors glue into, less those whose start test already
-    fails.  simple comes from the halves' CrossingTable.path_masks; without
-    a table every half has the masks (0, 0), and simple means nothing.
-
-    A glued sequence starts at s, its smallest cell, so it can only be
-    canonical when every symmetry image of it starts at an offset of at least
-    s - 1 (see cycles._is_minimal_given).  Those offsets are extremes of the
-    sides of the pair's bounding box, and each side's extremes come from the
-    half (or both halves) reaching that side, so the two halves' summaries
-    decide the test before the sequence is built.  The pair's combined side
-    extremes, in the order of cycles._side_extremes, go out with the
-    sequence, and the caller runs the canonicity core on every emission.
-    The test needs a box 2(s - 1) rows deep and wide (see _last_start), so a
-    half short of either keeps only the partners that reach it (tall, wide).
-
-    The join tests the offsets inline, side by side with early exits, and
-    does not share the core's offset computation: a helper call on a 9-tuple
-    for every pair tried took the k=12 join from 2.0-2.3 s to 3.3-3.9 s of
-    CPU.  At s = 1 every closure ties with its transpose image, and the join
-    drops the pairs whose image wins that tie before it tests their sides.
-    """
+def _join_index(board: BoardSpec, k: int, s: int, t: int,
+                table: CrossingTable | None):
+    """The index _mitm_one_pair's pair loop reads: (halves, tails, b_extremes,
+    b_masks, holders, above, col0, tall, wide, flips).  The start test needs
+    a box 2(s - 1) rows deep and wide (see _last_start), so a half short of
+    either keeps only the partners in tall or wide.  At s = 1 every closure
+    ties with its transpose image; flips drops the pairs whose image wins."""
     low = s - 1
     # A half whose own column-0 cells start an image below s joins nothing.
     halves = [(cells, extremes, table.path_masks(cells) if table else (0, 0))
@@ -335,6 +317,35 @@ def _mitm_one_pair(board: BoardSpec, k: int, s: int, t: int, emit,
     flips = sorted((tuple(map(transpose.__getitem__, cells[1:])), 1 << j)
                    for j, (cells, _, _) in enumerate(b_side)) if s == 1 else []
     flips.append(((_FAR,), 0))  # a sentinel above every a[1:]
+    return (halves, tails, b_extremes, b_masks, holders, above, col0, tall,
+            wide, flips)
+
+
+def _mitm_one_pair(board: BoardSpec, k: int, s: int, t: int, emit,
+                   table: CrossingTable | None = None) -> None:
+    """emit(sequence, extremes, simple), in ascending order of the sequences,
+    for the closures with start s and opposite cell t that two s -> t halves
+    with disjoint interiors glue into, less those whose start test already
+    fails.  simple comes from the halves' CrossingTable.path_masks; without
+    a table every half has the masks (0, 0), and simple means nothing.
+
+    A glued sequence starts at s, its smallest cell, so it can only be
+    canonical when every symmetry image of it starts at an offset of at least
+    s - 1 (see cycles._is_minimal_given).  Those offsets are extremes of the
+    sides of the pair's bounding box, and each side's extremes come from the
+    half (or both halves) reaching that side, so the two halves' summaries
+    decide the test before the sequence is built.  The pair's combined side
+    extremes, in the order of cycles._side_extremes, go out with the
+    sequence, and the caller runs the canonicity core on every emission.
+
+    The join tests the offsets inline, side by side with early exits, and
+    does not share the core's offset computation: a helper call on a 9-tuple
+    for every pair tried took the k=12 join from 2.0-2.3 s to 3.3-3.9 s of
+    CPU.
+    """
+    low = s - 1
+    (halves, tails, b_extremes, b_masks, holders, above, col0, tall, wide,
+     flips) = _join_index(board, k, s, t, table)
     losers = flip = 0
     for (a_cells, (a_rows, a_cols, a_top, a_left_min, a_left_max, a_bottom_min,
                    a_bottom_max, a_right_min, a_right_max),

@@ -25,6 +25,7 @@ from knightcycles.geometry import crossing_table
 from knightcycles.search import (
     _dfs_one_start,
     _half_paths_raw,
+    _join_index,
     _mitm_one_pair,
     _mitm_pairs_for_start,
     enumerate_cycles,
@@ -281,6 +282,73 @@ class TestJoinPrefilter:
                                table)
         assert (hashlib.sha256("".join(lines).encode()).hexdigest()
                 == JOIN_STREAM_SHA256[k])
+
+
+class TestJoinIndex:
+    """Every field of the join's index against its definition, brute-forced
+    over the raw halves of every planned shard."""
+
+    @pytest.mark.parametrize("with_table", [False, True])
+    @pytest.mark.parametrize("k", [6, 8])
+    def test_fields_match_their_definitions(self, k, with_table):
+        board = BoardSpec.for_cycle_length(k)
+        side = board.width
+        table = crossing_table(board) if with_table else None
+        sentinel = ((cycles._FAR,), 0)
+        dropped = short = narrow = swept = False
+        for s in range(1, search._last_start(k) + 1):
+            low = s - 1
+            for t in _mitm_pairs_for_start(board, k, s):
+                (halves, tails, b_extremes, b_masks, holders, above, col0,
+                 tall, wide, flips) = _join_index(board, k, s, t, table)
+                raw = _half_paths_raw(board, k, s, t)
+                kept = [cells for cells in raw
+                        if _side_extremes(cells, side)[3] >= low]
+                assert [cells for cells, _, _ in halves] == sorted(kept)
+                for cells, extremes, masks in halves:
+                    assert extremes == _side_extremes(cells, side)
+                    assert masks == (table.path_masks(cells) if table
+                                     else (0, 0))
+                b = sorted(kept, key=lambda cells: cells[::-1])
+                assert tails == [cells[-2:0:-1] for cells in b]
+                assert b_extremes == [_side_extremes(cells, side)
+                                      for cells in b]
+                assert b_masks == [table.path_masks(cells) if table
+                                   else (0, 0) for cells in b]
+
+                def bits(holds):
+                    return sum(1 << j for j, cells in enumerate(b)
+                               if holds(cells))
+
+                for c in range(board.size + 1):
+                    assert holders[c] == bits(lambda cells: c in cells[1:-1])
+                assert set(above) == {cells[1] for cells in b}
+                for c, partners in above.items():
+                    assert partners == bits(lambda cells: cells[1] > c)
+                coords = {cells: [coord_of(c, board) for c in cells]
+                          for cells in b}
+                assert col0 == bits(lambda cells: any(
+                    col == 0 for _, col in coords[cells]))
+                assert tall == bits(lambda cells: max(
+                    row for row, _ in coords[cells]) >= 2 * low)
+                assert wide == bits(lambda cells: max(
+                    col for _, col in coords[cells]) >= 2 * low)
+                assert flips == sorted(flips)
+                assert flips[-1] == sentinel
+                if s == 1:
+                    swept |= len(flips) > 1
+                    assert flips[:-1] == sorted(
+                        (tuple(col * side + row + 1
+                               for row, col in coords[cells][1:]), 1 << j)
+                        for j, cells in enumerate(b))
+                else:
+                    assert flips == [sentinel]
+                dropped |= len(kept) < len(raw)
+                short |= tall != bits(bool)
+                narrow |= wide != bits(bool)
+        # Each field is put to the test: the filter, tall and wide each
+        # leave out some half, and some start-1 shard has halves to sweep.
+        assert dropped and short and narrow and swept
 
 
 class TestStartBound:
