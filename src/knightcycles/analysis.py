@@ -15,6 +15,7 @@ from itertools import repeat
 from .board import BoardSpec, coord_of
 from .cycles import (CycleSeq, CycleValidationError, canonical_cell_set, knight_moves,
                      validate_cycle)
+from .geometry import crossing_table
 
 # Reference counts per cycle length: (nonequivalent classes, non-self-
 # intersecting among them).  Kept verbatim from the table this tool checks
@@ -66,7 +67,7 @@ def group_geometric_twins(cycles) -> list[TwinGroup]:
 
 
 class ParseError(ValueError):
-    """Malformed cycle file; ``line`` is the 1-based offending line number."""
+    """A flaw in a listing at a line; ``line`` is its 1-based number."""
 
     def __init__(self, message: str, line: int):
         super().__init__(f"line {line}: {message}")
@@ -207,9 +208,9 @@ def read_cycle_header(line: str) -> CycleFileHeader:
 def read_listing(path):
     """Read a listing once, front to back (a pipe serves), and yield (header,
     cycles): line 1 parsed and an iterator of validated CycleSeqs.  Only the
-    writer's bytes pass (ASCII, LF: a CR or stray byte stays in its line).
-    ParseError names the line of a header or body line in any other form, an
-    invalid cycle, a body out of ascending order or a count the body misses."""
+    writer's bytes pass (ASCII, LF: a CR or stray byte stays in its line), and
+    only a body that keeps every claim of the header (see _read_body); else
+    ParseError names the line of the first flaw."""
     with open(path, encoding="ascii", errors="surrogateescape", newline="\n") as fh:
         header_line = fh.readline(_HEADER_MAX)
         if not header_line.endswith("\n"):
@@ -221,12 +222,13 @@ def read_listing(path):
 def _read_body(fh, header: CycleFileHeader):
     """Test the body a chunk at a time, each test one pass in C: the writer's
     own bytes, knight moves (the closing one too), no repeat, ascending, the
-    count.  A chunk that fails any test is read again line by line: its cycles
-    before the first flaw are yielded, and ParseError names the flawed line.
-    A line longer than the writer's longest is malformed (see _line_chunks)."""
+    count and, under filter=simple, no crossing.  A failed chunk is read again
+    line by line: its cycles before the first flaw are yielded, and ParseError
+    names the flawed line.  A line past the writer's longest is malformed."""
     k, board = header.k, header.board
     line_format, moves = _body_format(k), knight_moves(board)
     number = {str(cell): cell for cell in range(1, board.size + 1)}  # parse and range test
+    table = crossing_table(board) if header.filter_tag == "simple" else None
     longest = k * (len(str(board.size)) + 1)  # the writer's longest line, LF included
     seen, previous = 0, ()
     for text in _line_chunks(fh, longest):
@@ -242,7 +244,8 @@ def _read_body(fh, header: CycleFileHeader):
             if (moves.issuperset(zip(cells, following))
                     and min(map(len, map(set, cycles))) == k
                     and all(map(tuple.__lt__, [previous, *cycles], cycles))
-                    and seen + n <= header.count):
+                    and seen + n <= header.count
+                    and (table is None or all(map(table.is_simple_cells, cycles)))):
                 yield from map(CycleSeq, cycles, repeat(board))
                 previous, seen = cycles[-1], seen + n
                 continue
@@ -267,9 +270,12 @@ def _read_body(fh, header: CycleFileHeader):
                     f"more cycles than the advertised count={header.count}",
                     line=lineno)
             try:
-                yield validate_cycle(cells, board)
+                cycle = validate_cycle(cells, board)
             except CycleValidationError as exc:
                 raise ParseError(str(exc), line=lineno) from None
+            if table is not None and not table.is_simple_cells(cells):
+                raise ParseError(f"not simple: {','.join(map(str, cells))}", line=lineno)
+            yield cycle
     if seen != header.count:
         raise ParseError(
             f"header advertises count={header.count} but body has {seen}",

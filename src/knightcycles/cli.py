@@ -23,7 +23,6 @@ from .analysis import (
 )
 from .board import BoardSpec
 from .cycles import is_minimal, validate_cycle
-from .geometry import crossing_table
 from .search import ShardLostError, enumerate_cycles
 
 USAGE_ERROR = 2
@@ -176,18 +175,10 @@ def _cmd_render(args) -> int:
 def _cmd_check(args) -> int:
     try:
         with read_listing(args.infile) as (header, cycles):
-            table = (crossing_table(header.board) if header.filter_tag == "simple"
-                     else None)
-            for number, cycle in enumerate(cycles, start=1):
+            for line, cycle in enumerate(cycles, start=2):
                 if not is_minimal(cycle):
-                    flaw = "canonical"
-                elif table is not None and not table.is_simple_cells(cycle.cells):
-                    flaw = "simple"
-                else:
-                    continue
-                print(f"not {flaw} at cycle {number}: "
-                      f"{','.join(map(str, cycle.cells))}", file=sys.stderr)
-                return FAILURE
+                    raise ParseError(
+                        f"not canonical: {','.join(map(str, cycle.cells))}", line)
     except (ParseError, OSError) as exc:
         print(f"{args.infile}: {exc}", file=sys.stderr)
         return FAILURE

@@ -155,10 +155,9 @@ def _dfs_one_start(board: BoardSpec, k: int, s: int, emit) -> None:
     visited[s] = 1
     path = [s]
 
-    def extend(u: int, depth: int, kids, last_row: int, last_col: int,
+    def extend(u: int, remaining: int, kids, last_row: int, last_col: int,
                top_max: int, left_min: int, left_max: int, bottom_min: int,
                bottom_max: int, right_min: int, right_max: int) -> None:
-        remaining = k - depth
         for v, r, c, r_half, c_half in kids[remaining][u]:
             if visited[v]:
                 continue
@@ -200,7 +199,7 @@ def _dfs_one_start(board: BoardSpec, k: int, s: int, emit) -> None:
                             r_hi))
             else:
                 visited[v] = 1
-                extend(v, depth + 1, on_col0 if c == 0 else kids, row, col,
+                extend(v, remaining - 1, on_col0 if c == 0 else kids, row, col,
                        top, left_lo, left, b_lo, b_hi, r_lo, r_hi)
                 visited[v] = 0
             path.pop()
@@ -231,7 +230,7 @@ def _dfs_one_start(board: BoardSpec, k: int, s: int, emit) -> None:
                 reached.update((v, touched or cols[v] == 0)
                                for v, *_ in children)
             states = reached
-        extend(s, 1, tables[s_col == 0], 0, s_col, s_col, *left, s_col, s_col,
+        extend(s, k - 1, tables[s_col == 0], 0, s_col, s_col, *left, s_col, s_col,
                0, 0)
     del extend  # it refers to itself: free the walk's state without the gc
 
@@ -485,14 +484,13 @@ def _run_in_pool(run, shards, workers: int):
     # instead of raising KeyboardInterrupt and running on into queued shards.
     with ProcessPoolExecutor(max_workers=workers, initializer=signal.signal,
                              initargs=(signal.SIGINT, signal.SIG_DFL)) as pool:
+        # Not pool.map: before Python 3.12, its cancels crash the pool's manager thread.
         futures = [pool.submit(run, shard) for shard in shards]
         try:
             for i, future in enumerate(futures):
-                try:
-                    result = future.result()
-                except BrokenProcessPool as exc:
-                    raise ShardLostError(shards[i:]) from exc
-                yield result
+                yield future.result()
+        except BrokenProcessPool as exc:
+            raise ShardLostError(shards[i:]) from exc
         except GeneratorExit:
             if i + 1 < len(futures):  # closed with results unread
                 # Python 3.14 has terminate_workers(); before it the pool's

@@ -17,7 +17,8 @@ from knightcycles.analysis import (
     write_cycles,
 )
 from knightcycles.board import BoardSpec
-from knightcycles.cycles import canonical_key, knight_moves, validate_cycle
+from knightcycles.cycles import CycleSeq, canonical_key, knight_moves, validate_cycle
+from knightcycles.geometry import is_simple
 from conftest import CROSSING_K6, MINIMAL_K8_W5, TWIN_K8_W6
 
 
@@ -207,6 +208,31 @@ class TestCycleFiles:
                     if chunked[1] is not None:  # rejected with ParseError
                         continue
                     assert data == original
+
+    def test_simple_claim_names_the_crossing_line(self, tmp_path, keys_by_k,
+                                                  monkeypatch):
+        """The 13 simple k=6 classes and, in its sorted place, the crossing
+        CROSSING_K6, tagged filter=simple: the reader yields the cycles above
+        it and names its line, at the default chunk size and one line a
+        chunk.  Tagged filter=all, the same body reads whole."""
+        board = BoardSpec.for_cycle_length(6)
+        simple = [cells for cells in keys_by_k(6)
+                  if is_simple(CycleSeq(cells, board))]
+        assert len(simple) == 13
+        body = sorted([*simple, CROSSING_K6])
+        at = body.index(CROSSING_K6)
+        path = tmp_path / "k6.cycles"
+        write_cycles(body, path, filter_tag="simple")
+        for chunk in (analysis._CHUNK, 1):
+            read = []
+            with monkeypatch.context() as patch:
+                patch.setattr(analysis, "_CHUNK", chunk)
+                with pytest.raises(ParseError, match="not simple: 1,10,5,18,3,16$") as err:
+                    read.extend(cycle.cells for cycle in read_cycles(path))
+            assert err.value.line == at + 2
+            assert read == body[:at]
+        write_cycles(body, path, filter_tag="all")
+        assert [cycle.cells for cycle in read_cycles(path)] == body
 
     def test_out_of_range_index(self, tmp_path, keys_by_k):
         path = tmp_path / "range.cycles"

@@ -301,7 +301,7 @@ class TestListAndCheck:
         write_cycles([crossed], out_file, filter_tag="simple")
         code, _, err = run_cli(capsys, "check", "--in", str(out_file))
         assert code == 1
-        assert "not simple at cycle 1: 1,10,5,18,3,16" in err
+        assert f"{out_file}: line 2: not simple: 1,10,5,18,3,16" in err
         write_cycles([crossed], out_file, filter_tag="all")
         assert run_cli(capsys, "check", "--in", str(out_file))[0] == 0
         out_file = tmp_path / "k8-simple.cycles"
@@ -395,7 +395,7 @@ class TestListAndCheck:
         out_file.write_text("".join(lines))
         code, _, err = run_cli(capsys, "check", "--in", str(out_file))
         assert code == 1
-        assert err == f"not canonical at cycle 21: {','.join(map(str, backwards))}\n"
+        assert err == f"{out_file}: line 22: not canonical: {','.join(map(str, backwards))}\n"
 
     def test_check_names_a_flaw_deep_in_the_body(self, tmp_path, capsys, keys_by_k):
         """The k=10 listing with a repeated cell on line 5001 only."""
