@@ -75,16 +75,17 @@ class ParseError(ValueError):
 
 
 def check_output_path(path: str) -> str:
-    """Refuse now, naming ``path``, an empty path, a directory, a missing parent
-    directory or any other non-regular file (a pipe, a device, a symlink loop).
+    """Refuse now, by a ValueError naming ``path``, an empty path, a directory
+    (a path ending in /, /. or /.. too), a missing parent directory or any other
+    non-regular file (a pipe, a device, a symlink loop).
     Return the file to replace: the one a symlink names, so the link survives."""
     target = os.path.realpath(path) if path else ""
-    if os.path.isdir(target):
-        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    if os.path.isdir(target) or (path and os.path.basename(path) in ("", ".", "..")):
+        raise ValueError(f"[Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: {path!r}")
     if not os.path.isdir(os.path.dirname(target)):
-        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+        raise ValueError(f"[Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}: {path!r}")
     if os.path.lexists(target) and not os.path.isfile(target):
-        raise OSError(f"not a regular file: {path!r}")
+        raise ValueError(f"not a regular file: {path!r}")
     return target
 
 

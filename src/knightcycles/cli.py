@@ -1,7 +1,8 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 verification/validation failure, a lost worker or
-a closed output pipe, 2 usage error.
+Exit codes: 0 success; 2 a refused argument, found before any work; 1 a
+failure after that: a flaw check or verify finds, a lost worker, a failed
+write such as a full disk, or a closed output pipe; 130 Ctrl-C.
 """
 
 from __future__ import annotations
@@ -23,10 +24,11 @@ from .analysis import (
 )
 from .board import BoardSpec
 from .cycles import is_minimal, validate_cycle
-from .search import ShardLostError, enumerate_cycles
+from .search import enumerate_cycles
 
 USAGE_ERROR = 2
 FAILURE = 1
+INTERRUPTED = 130
 
 
 def _add_jobs_flag(parser: argparse.ArgumentParser) -> None:
@@ -204,16 +206,17 @@ def main(argv=None) -> int:
         code = _COMMANDS[args.command](args)
         sys.stdout.flush()
         return code
-    except (ShardLostError, BrokenPipeError) as exc:
+    except (ValueError, RuntimeError, OSError) as exc:
         if isinstance(exc, BrokenPipeError):  # the reader left (see SIGPIPE in
             # Python's docs): devnull takes the rest, so the exit flush cannot fail
             with open(os.devnull, "wb") as devnull:
                 os.dup2(devnull.fileno(), sys.stdout.fileno())
         print(f"error: {exc}", file=sys.stderr)
-        return FAILURE
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+        # a ValueError is a refused argument, always raised before any work
+        return USAGE_ERROR if isinstance(exc, ValueError) else FAILURE
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return INTERRUPTED
 
 
 if __name__ == "__main__":

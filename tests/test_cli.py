@@ -237,6 +237,34 @@ class TestListAndCheck:
         assert link.is_symlink()
         assert real.read_bytes() == plain.read_bytes()
 
+    @pytest.mark.parametrize("argv", [
+        ("list", "--length", "8"), ("twins", "--length", "8"), RENDER_K8,
+    ], ids=lambda argv: argv[0])
+    @pytest.mark.parametrize("name", ["q/", "q/."])
+    def test_out_naming_a_directory_by_its_last_part_is_refused(
+            self, argv, name, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(capsys, *argv, "--out", name)
+        assert (code, out) == (2, "")
+        assert err == (f"error: [Errno {errno.EISDIR}] "
+                       f"{os.strerror(errno.EISDIR)}: {name!r}\n")
+        assert os.listdir() == []
+
+    def test_full_disk_during_list_gives_exit_1(self, tmp_path, capsys, monkeypatch):
+        write = analysis.CycleFileWriter.write
+
+        def filling_up(writer, cells):
+            if writer.count == 100:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            write(writer, cells)
+
+        monkeypatch.setattr(analysis.CycleFileWriter, "write", filling_up)
+        out_file = tmp_path / "x.cycles"
+        code, out, err = run_cli(capsys, "list", "--length", "8", "--out", str(out_file))
+        assert (code, out) == (1, "")
+        assert err == f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("name, error", [
         ("pipe.cycles", "not a regular file"),
         ("link.cycles", ENOENT),
@@ -546,6 +574,17 @@ class TestClosedStdout:
         assert first.startswith("k=4" if argv[0] == "verify" else "cells "), err
         assert (code, err) == (1, f"error: [Errno {errno.EPIPE}] "
                                   f"{os.strerror(errno.EPIPE)}\n")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    def test_full_stdout_gives_exit_1(self):
+        src = os.path.dirname(os.path.dirname(knightcycles.__file__))
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "knightcycles.cli", *RENDER_K8],
+                env=dict(os.environ, PYTHONPATH=src), stdout=full,
+                stderr=subprocess.PIPE, text=True, timeout=60)
+        assert (proc.returncode, proc.stderr) == (
+            1, f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n")
 
 
 

@@ -966,6 +966,31 @@ class TestFailureModes:
         assert "KeyboardInterrupt" in err
         assert os.listdir(tmp_path) == []
 
+    def test_ctrl_c_ends_the_cli_with_one_line_and_exit_130(self, tmp_path):
+        """The same Ctrl-C under `list --jobs 2` prints `error: interrupted`
+        and exits 130, leaving nothing at --out, beside it or in TMPDIR."""
+        (tmp_path / "tmp").mkdir()
+        (tmp_path / "out").mkdir()
+        code, out, err = _run_child("""
+            import os, signal, sys, tempfile, time
+            from knightcycles import cli, search
+
+            tempfile.tempdir = os.path.join(sys.argv[1], "tmp")
+
+            def slow(board, k, s, emit):
+                if s == 2:
+                    os.killpg(0, signal.SIGINT)
+                time.sleep(60)
+
+            search._dfs_one_start = slow
+            signal.signal(signal.SIGINT, signal.default_int_handler)
+            sys.exit(cli.main(["list", "--length", "8", "--jobs", "2", "--out",
+                               os.path.join(sys.argv[1], "out", "x.cycles")]))
+        """, tmp_path)
+        assert (code, out, err) == (130, "", "error: interrupted\n")
+        assert os.listdir(tmp_path / "out") == []
+        assert os.listdir(tmp_path / "tmp") == []
+
     def test_merge_fits_a_low_open_file_limit(self, tmp_path):
         """The k=10 mitm listing merges 115 shard files; with at most 64
         open files it still reaches the sink whole, because the merge opens
