@@ -24,7 +24,7 @@ from .analysis import (
 )
 from .board import BoardSpec
 from .cycles import is_minimal, validate_cycle
-from .search import enumerate_cycles
+from .search import EnumerationError, enumerate_cycles
 
 USAGE_ERROR = 2
 FAILURE = 1
@@ -206,9 +206,11 @@ def main(argv=None) -> int:
         code = _COMMANDS[args.command](args)
         sys.stdout.flush()
         return code
-    except (ValueError, RuntimeError, OSError) as exc:
-        if isinstance(exc, BrokenPipeError):  # the reader left (see SIGPIPE in
-            # Python's docs): devnull takes the rest, so the exit flush cannot fail
+    except (ValueError, EnumerationError, OSError) as exc:
+        try:
+            sys.stdout.flush()
+        except OSError:  # stdout failed (a closed pipe, a full disk) and keeps its
+            # unwritten bytes: devnull takes them, so the exit flush cannot fail
             with open(os.devnull, "wb") as devnull:
                 os.dup2(devnull.fileno(), sys.stdout.fileno())
         print(f"error: {exc}", file=sys.stderr)

@@ -63,7 +63,11 @@ class EnumerationSummary:
     elapsed: float
 
 
-class ShardLostError(RuntimeError):
+class EnumerationError(RuntimeError):
+    """A run failed after it started: a shard lost, cut short or out of order."""
+
+
+class ShardLostError(EnumerationError):
     """A worker process died, and the shards whose results were not yet read
     (the one it was running among them) are lost: a tail of the plan, in
     plan order, which may hold shards that finished but were never read."""
@@ -424,7 +428,7 @@ def _run_shard(algorithm: str, k: int, simple_filter: bool,
 
     Returns (count, simple, shard_file).  Kept sequences stream to a
     file in shard_dir, if given, and one not above the previous raises
-    RuntimeError.  A shard that keeps nothing writes no file (None).
+    EnumerationError.  A shard that keeps nothing writes no file (None).
     """
     board = BoardSpec.for_cycle_length(k)
     side = board.width
@@ -450,7 +454,7 @@ def _run_shard(algorithm: str, k: int, simple_filter: bool,
             return
         seq = tuple(seq)
         if seq <= last:
-            raise RuntimeError(
+            raise EnumerationError(
                 f"shard {name} emitted {seq} after {last}, out of order")
         last = seq
         if out is None:
@@ -509,7 +513,7 @@ def _read_shard(path: str, k: int):
     with open(path, "rb") as fh:
         while chunk := fh.read(4096 * record.size):
             if len(chunk) % record.size:
-                raise RuntimeError(f"shard file {path} ends mid-record")
+                raise EnumerationError(f"shard file {path} ends mid-record")
             yield from record.iter_unpack(chunk)
 
 

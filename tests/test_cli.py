@@ -9,6 +9,7 @@ import signal
 import stat
 import subprocess
 import sys
+import tempfile
 import textwrap
 import threading
 
@@ -263,6 +264,37 @@ class TestListAndCheck:
         code, out, err = run_cli(capsys, "list", "--length", "8", "--out", str(out_file))
         assert (code, out) == (1, "")
         assert err == f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_a_failed_run_is_one_line_and_a_bug_a_traceback(
+            self, tmp_path, capsys, monkeypatch):
+        """A shard emitted out of order ends `list` with exit 1 and one line;
+        any other RuntimeError from an engine is a bug and propagates.
+        Neither leaves anything at --out, beside it or in TMPDIR."""
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        out_file = str(tmp_path / "x.cycles")
+        engine = search._dfs_one_start
+
+        def reversed_engine(board, k, s, emit):
+            emitted: list = []
+            engine(board, k, s, lambda path, extremes:
+                   emitted.append((tuple(path), extremes)))
+            for seq, extremes in reversed(emitted):
+                emit(seq, extremes)
+
+        monkeypatch.setattr(search, "_dfs_one_start", reversed_engine)
+        code, out, err = run_cli(capsys, "list", "--length", "8", "--out", out_file)
+        assert (code, out) == (1, "")
+        assert re.fullmatch(r"error: shard dfs-1 emitted \(.*\) after \(.*\), out of order\n",
+                            err)
+        assert list(tmp_path.iterdir()) == []
+
+        def broken_engine(board, k, s, emit):
+            raise RuntimeError("bug")
+
+        monkeypatch.setattr(search, "_dfs_one_start", broken_engine)
+        with pytest.raises(RuntimeError, match="^bug$"):
+            main(["list", "--length", "8", "--out", out_file])
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("name, error", [
@@ -577,15 +609,18 @@ class TestClosedStdout:
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
     def test_full_stdout_gives_exit_1(self):
+        """With PYTHONUNBUFFERED unset, stdout keeps the bytes a full disk
+        refused; they must not fail the exit flush as well (exit 120)."""
         src = os.path.dirname(os.path.dirname(knightcycles.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        env.pop("PYTHONUNBUFFERED", None)
         with open("/dev/full", "w") as full:
             proc = subprocess.run(
                 [sys.executable, "-m", "knightcycles.cli", *RENDER_K8],
-                env=dict(os.environ, PYTHONPATH=src), stdout=full,
+                env=env, stdout=full,
                 stderr=subprocess.PIPE, text=True, timeout=60)
         assert (proc.returncode, proc.stderr) == (
             1, f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n")
-
 
 
 class TestTwins:

@@ -133,6 +133,26 @@ def _run_child(script: str, tmp_path, timeout: float = 60):
     return proc.returncode, out, err
 
 
+# The start of both Ctrl-C children, with tmp_path as TMPDIR: the engine sends
+# SIGINT to the process group as start 2 begins, then sleeps.
+CTRL_C_CHILD = """
+import os, signal, sys, tempfile, time
+from knightcycles import cli, search
+
+tempfile.tempdir = sys.argv[1]
+
+def slow(board, k, s, emit):
+    if s == 2:
+        os.killpg(0, signal.SIGINT)
+    time.sleep(60)
+
+search._dfs_one_start = slow
+# Python installs this handler at start-up only when SIGINT is
+# not ignored, and a background job of a shell starts ignoring it.
+signal.signal(signal.SIGINT, signal.default_int_handler)
+"""
+
+
 class TestStartSet:
     """The per-start counts are keyed by the planned starts 1..3k/8+1
     (search._last_start), for an even k within 4..16, the one length rule
@@ -945,23 +965,9 @@ class TestFailureModes:
         """Ctrl-C (SIGINT to the process group) ends a jobs=2 run with
         KeyboardInterrupt and no shard directory left, without running the
         shards still queued behind the interrupted ones."""
-        code, _, err = _run_child("""
-            import os, signal, sys, tempfile, time
-            from knightcycles import search
-
-            tempfile.tempdir = sys.argv[1]
-
-            def slow(board, k, s, emit):
-                if s == 2:
-                    os.killpg(0, signal.SIGINT)
-                time.sleep(60)
-
-            search._dfs_one_start = slow
-            # Python installs this handler at start-up only when SIGINT is
-            # not ignored, and a background job of a shell starts ignoring it.
-            signal.signal(signal.SIGINT, signal.default_int_handler)
+        code, _, err = _run_child(CTRL_C_CHILD + textwrap.dedent("""
             search.enumerate_cycles(8, "dfs", jobs=2, sink=lambda seq: None)
-        """, tmp_path)
+        """), tmp_path)
         assert code == -signal.SIGINT
         assert "KeyboardInterrupt" in err
         assert os.listdir(tmp_path) == []
@@ -969,27 +975,14 @@ class TestFailureModes:
     def test_ctrl_c_ends_the_cli_with_one_line_and_exit_130(self, tmp_path):
         """The same Ctrl-C under `list --jobs 2` prints `error: interrupted`
         and exits 130, leaving nothing at --out, beside it or in TMPDIR."""
-        (tmp_path / "tmp").mkdir()
         (tmp_path / "out").mkdir()
-        code, out, err = _run_child("""
-            import os, signal, sys, tempfile, time
-            from knightcycles import cli, search
-
-            tempfile.tempdir = os.path.join(sys.argv[1], "tmp")
-
-            def slow(board, k, s, emit):
-                if s == 2:
-                    os.killpg(0, signal.SIGINT)
-                time.sleep(60)
-
-            search._dfs_one_start = slow
-            signal.signal(signal.SIGINT, signal.default_int_handler)
+        code, out, err = _run_child(CTRL_C_CHILD + textwrap.dedent("""
             sys.exit(cli.main(["list", "--length", "8", "--jobs", "2", "--out",
                                os.path.join(sys.argv[1], "out", "x.cycles")]))
-        """, tmp_path)
+        """), tmp_path)
         assert (code, out, err) == (130, "", "error: interrupted\n")
         assert os.listdir(tmp_path / "out") == []
-        assert os.listdir(tmp_path / "tmp") == []
+        assert os.listdir(tmp_path) == ["out"]
 
     def test_merge_fits_a_low_open_file_limit(self, tmp_path):
         """The k=10 mitm listing merges 115 shard files; with at most 64
