@@ -2,7 +2,7 @@
 
 Exit codes: 0 success; 2 a refused argument, found before any work; 1 a
 failure after that: a flaw check or verify finds, a lost worker, a failed
-write such as a full disk, or a closed output pipe; 130 Ctrl-C.
+write (a full disk, a closed output pipe) or exhausted memory; 130 Ctrl-C.
 """
 
 from __future__ import annotations
@@ -216,6 +216,9 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         # a ValueError is a refused argument, always raised before any work
         return USAGE_ERROR if isinstance(exc, ValueError) else FAILURE
+    except MemoryError:  # its str() is empty
+        print("error: out of memory", file=sys.stderr)
+        return FAILURE
     except KeyboardInterrupt:
         print("error: interrupted", file=sys.stderr)
         return INTERRUPTED

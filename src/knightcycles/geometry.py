@@ -71,6 +71,24 @@ def is_simple(cycle: CycleSeq) -> bool:
     return True
 
 
+# The knight moves down the board, from an edge's upper cell to its lower one.
+_DOWN_MOVES = ((1, -2), (1, 2), (2, -1), (2, 1))
+
+
+@lru_cache(maxsize=None)
+def _crossing_stencil() -> tuple[tuple[tuple[int, int, int], ...], ...]:
+    """For each move m of _DOWN_MOVES, the (row offset, column offset, move)
+    of every other edge that crosses the edge from (0, 0) by m.  Crossing is
+    translation-invariant, and a crosser's upper cell lies within 2 rows and
+    4 columns of (0, 0)."""
+    return tuple(
+        tuple((dr, dc, j) for dr in range(-2, 3) for dc in range(-4, 5)
+              for j, (jr, jc) in enumerate(_DOWN_MOVES)
+              if (dr, dc, j) != (0, 0, m)
+              and segments_cross(((0, 0), move), ((dr, dc), (dr + jr, dc + jc))))
+        for m, move in enumerate(_DOWN_MOVES))
+
+
 class CrossingTable:
     """Precomputed pairwise crossings of every knight-move segment on one
     board, for the enumeration hot path.
@@ -85,28 +103,19 @@ class CrossingTable:
         adj = adjacency(board)
         edges = [(u, v) for u in range(1, board.size + 1)
                  for v in adj[u] if v > u]
-        segs = [(coord_of(u, board), coord_of(v, board)) for u, v in edges]
-        # crossing[e]: bit f set iff edges e and f cross.  Edges come in the
-        # row order of their upper cell, so once f starts below e's lower end
-        # no later edge can meet e; nor can f when their columns miss.
-        crossing = [0] * len(segs)
-        for e, ((_, e_u_col), (e_bottom, e_v_col)) in enumerate(segs):
-            e_left = min(e_u_col, e_v_col)
-            e_right = max(e_u_col, e_v_col)
-            for f in range(e + 1, len(segs)):
-                (f_top, f_u_col), (_, f_v_col) = segs[f]
-                if f_top > e_bottom:
-                    break
-                if (f_u_col < e_left and f_v_col < e_left
-                        or f_u_col > e_right and f_v_col > e_right):
-                    continue
-                if segments_cross(segs[e], segs[f]):
-                    crossing[e] |= 1 << f
-                    crossing[f] |= 1 << e
-        # Both orientations of edge e map to (bit e, crossing[e]).
+        # Edge e, bit e, is keyed by its upper cell and its move down from it.
+        keys = []
+        for u, v in edges:
+            (r, c), (r2, c2) = coord_of(u, board), coord_of(v, board)
+            keys.append((r, c, _DOWN_MOVES.index((r2 - r, c2 - c))))
+        bits = {key: 1 << e for e, key in enumerate(keys)}
+        # Both orientations of edge e map to (bit e, crossing mask): the
+        # stencil translated to e, less the crossers that leave the board.
         self._edges: dict[tuple[int, int], tuple[int, int]] = {}
-        for e, (u, v) in enumerate(edges):
-            self._edges[(u, v)] = self._edges[(v, u)] = (1 << e, crossing[e])
+        for (u, v), (r, c, m) in zip(edges, keys):
+            crossing = sum(bits.get((r + dr, c + dc, j), 0)
+                           for dr, dc, j in _crossing_stencil()[m])
+            self._edges[(u, v)] = self._edges[(v, u)] = (bits[r, c, m], crossing)
 
     def is_simple_cells(self, cells) -> bool:
         """is_simple for a raw index sequence already known to be a cycle:

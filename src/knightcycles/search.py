@@ -472,6 +472,13 @@ def _run_shard(algorithm: str, k: int, simple_filter: bool,
     return count, simple, None if out is None else out.name
 
 
+def _worker_init() -> None:
+    """Workers die at once on Ctrl-C (SIGINT reaches the whole process group)
+    instead of raising KeyboardInterrupt and running on into queued shards."""
+    signal.signal(signal.SIGINT, signal.SIG_DFL)
+    signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGINT})
+
+
 def _run_in_pool(run, shards, workers: int):
     """Yield run(shard) for every shard, in the order of shards, from a pool
     of worker processes.  A worker that dies (killed, out of memory) breaks
@@ -484,13 +491,16 @@ def _run_in_pool(run, shards, workers: int):
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
 
-    # Workers die at once on Ctrl-C (SIGINT reaches the whole process group)
-    # instead of raising KeyboardInterrupt and running on into queued shards.
-    with ProcessPoolExecutor(max_workers=workers, initializer=signal.signal,
-                             initargs=(signal.SIGINT, signal.SIG_DFL)) as pool:
-        # Not pool.map: before Python 3.12, its cancels crash the pool's manager thread.
-        futures = [pool.submit(run, shard) for shard in shards]
+    with ProcessPoolExecutor(max_workers=workers, initializer=_worker_init) as pool:
+        # The first submit forks the workers.  SIGINT waits until every shard
+        # is in, so that no at-fork hook and no worker before its initializer
+        # can take it; it then raises here, and queued shards are cancelled.
+        mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+        i = 0  # a pool that breaks while shards go in has read no result
         try:
+            # Not pool.map: before Python 3.12, its cancels crash the pool's manager thread.
+            futures = [pool.submit(run, shard) for shard in shards]
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
             for i, future in enumerate(futures):
                 yield future.result()
         except BrokenProcessPool as exc:
@@ -503,6 +513,7 @@ def _run_in_pool(run, shards, workers: int):
                     process.terminate()
             raise
         finally:
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
             # After a failure, shards that have not started never will.
             pool.shutdown(cancel_futures=True)
 

@@ -217,10 +217,13 @@ class TestCrossingTable:
                 for seq in orderings:
                     assert table.is_simple_cells(seq) == expected
 
-    @pytest.mark.parametrize("side", [9, 13])
+    @pytest.mark.parametrize("side", [
+        3, 4, 5, 9, 13, pytest.param(17, marks=pytest.mark.slow)])
     def test_equals_the_all_pairs_table(self, side):
-        """The build skips edge pairs whose rows or columns cannot meet; its
-        masks equal those from testing every pair of edges."""
+        """The build translates one stencil of crossing edges to every edge
+        and drops the crossers that leave the board; its masks equal those
+        from testing every pair of edges, on small boards where most of the
+        stencil falls off as on the k=16 board."""
         board = BoardSpec.square(side)
         table = crossing_table(board)
         adj = adjacency(board)

@@ -984,6 +984,84 @@ class TestFailureModes:
         assert os.listdir(tmp_path / "out") == []
         assert os.listdir(tmp_path) == ["out"]
 
+    @pytest.mark.parametrize("hook", ["before", "after_in_child"])
+    def test_ctrl_c_while_the_pool_starts_is_never_lost(self, hook, tmp_path):
+        """SIGINT sent to the group as the pool forks its workers, from an
+        at-fork hook, still ends `list --jobs 2` with one line and exit 130,
+        leaving nothing at --out or in TMPDIR: it is neither swallowed by
+        the hook nor taken by a worker before its initializer runs."""
+        (tmp_path / "out").mkdir()
+        code, out, err = _run_child(f"""
+            import os, signal, sys, tempfile
+            from knightcycles import cli
+
+            tempfile.tempdir = sys.argv[1]
+            signal.signal(signal.SIGINT, signal.default_int_handler)
+            sent = []
+
+            def interrupt():
+                if not sent:
+                    sent.append(True)
+                    os.killpg(0, signal.SIGINT)
+
+            os.register_at_fork({hook}=interrupt)
+            sys.exit(cli.main(["list", "--length", "8", "--jobs", "2", "--out",
+                               os.path.join(sys.argv[1], "out", "x.cycles")]))
+        """, tmp_path)
+        assert (code, out, err) == (130, "", "error: interrupted\n")
+        assert os.listdir(tmp_path / "out") == []
+        assert os.listdir(tmp_path) == ["out"]
+
+    def test_exhausted_memory_is_one_line_and_exit_1(self, tmp_path):
+        """`twins --length 12` in a child whose address space may grow by
+        only 60 MiB exits 1 with `error: out of memory`, and leaves nothing
+        at --out or in TMPDIR."""
+        (tmp_path / "out").mkdir()
+        code, out, err = _run_child("""
+            import os, resource, sys, tempfile
+            from knightcycles import cli
+
+            tempfile.tempdir = sys.argv[1]
+            with open("/proc/self/status") as fh:
+                size = next(int(line.split()[1]) for line in fh
+                            if line.startswith("VmSize:")) * 1024
+            hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+            resource.setrlimit(resource.RLIMIT_AS, (size + 60 * 2**20, hard))
+            sys.exit(cli.main(["twins", "--length", "12", "--out",
+                               os.path.join(sys.argv[1], "out", "tw.txt")]))
+        """, tmp_path)
+        assert (code, out, err) == (1, "", "error: out of memory\n")
+        assert os.listdir(tmp_path / "out") == []
+        assert os.listdir(tmp_path) == ["out"]
+
+    @pytest.mark.parametrize("command", ["count", "list"])
+    def test_a_worker_out_of_memory_is_one_line_and_exit_1(self, command,
+                                                           tmp_path):
+        """A worker's MemoryError ends `count` or `list` at jobs=2 with exit
+        1 and one line, and leaves nothing at --out or in TMPDIR."""
+        (tmp_path / "out").mkdir()
+        code, out, err = _run_child(f"""
+            import os, sys, tempfile
+            from knightcycles import cli, search
+
+            tempfile.tempdir = sys.argv[1]
+            engine = search._dfs_one_start
+
+            def exhausted(board, k, s, emit):
+                if s == 2:
+                    raise MemoryError
+                engine(board, k, s, emit)
+
+            search._dfs_one_start = exhausted
+            argv = ["{command}", "--length", "8", "--jobs", "2"]
+            if argv[0] == "list":
+                argv += ["--out", os.path.join(sys.argv[1], "out", "x.cycles")]
+            sys.exit(cli.main(argv))
+        """, tmp_path)
+        assert (code, out, err) == (1, "", "error: out of memory\n")
+        assert os.listdir(tmp_path / "out") == []
+        assert os.listdir(tmp_path) == ["out"]
+
     def test_merge_fits_a_low_open_file_limit(self, tmp_path):
         """The k=10 mitm listing merges 115 shard files; with at most 64
         open files it still reaches the sink whole, because the merge opens
