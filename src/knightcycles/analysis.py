@@ -159,17 +159,9 @@ class CycleFileWriter:
             self.abort()
 
 
-def write_cycles(cycles, path, k: int | None = None, filter_tag: str = "all") -> int:
-    """Write a listing (already sorted ascending) and return the count."""
-    cycles = iter(cycles)
-    first = next(cycles, None)
-    if first is None and k is None:
-        raise ValueError("cannot infer cycle length from an empty listing; pass k")
-    if k is None:
-        k = len(tuple(first))
+def write_cycles(cycles, path, k: int, filter_tag: str = "all") -> int:
+    """Write a listing of k-cell cycles, sorted ascending; return the count."""
     with CycleFileWriter(path, k, filter_tag) as writer:
-        if first is not None:
-            writer.write(first)
         for cells in cycles:
             writer.write(cells)
         return writer.count

@@ -35,10 +35,6 @@ class BoardSpec:
         return self.width * self.width
 
     @classmethod
-    def square(cls, side: int) -> "BoardSpec":
-        return cls(side)
-
-    @classmethod
     def for_cycle_length(cls, k: int) -> "BoardSpec":
         """The (k+1) x (k+1) board (k knight moves span at most k+1 rows), for
         the one rule on cycle lengths: k even within 4..16."""

@@ -100,8 +100,7 @@ def _cmd_list(args) -> int:
     with CycleFileWriter(args.out, args.length, filter_tag) as writer:
         enumerate_cycles(
             args.length, args.algorithm, jobs=args.jobs,
-            simple_filter=args.simple_only, emit_only_simple=args.simple_only,
-            sink=writer.write)
+            emit_only_simple=args.simple_only, sink=writer.write)
     print(f"wrote {writer.count} cycles to {args.out}")
     return 0
 
@@ -166,7 +165,7 @@ def _cmd_render(args) -> int:
             f"--seq must be comma-separated integers, got {args.seq!r}") from None
     if args.width > 64:  # the largest listing board is 17; tables grow as W^2
         raise ValueError(f"--width must be at most 64, got {args.width}")
-    board = BoardSpec.square(args.width)
+    board = BoardSpec(args.width)
     cycle = validate_cycle(cells, board)
     document = render(cycle, args.format)
     with output as out:

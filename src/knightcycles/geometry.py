@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .board import BoardSpec, Coord, adjacency, coord_of
+from .board import KNIGHT_OFFSETS, BoardSpec, Coord, adjacency, coord_of
 from .cycles import CycleSeq
 
 Segment = tuple[Coord, Coord]
@@ -72,7 +72,7 @@ def is_simple(cycle: CycleSeq) -> bool:
 
 
 # The knight moves down the board, from an edge's upper cell to its lower one.
-_DOWN_MOVES = ((1, -2), (1, 2), (2, -1), (2, 1))
+_DOWN_MOVES = KNIGHT_OFFSETS[4:]
 
 
 @lru_cache(maxsize=None)

@@ -483,9 +483,9 @@ def _run_in_pool(run, shards, workers: int):
     """Yield run(shard) for every shard, in the order of shards, from a pool
     of worker processes.  A worker that dies (killed, out of memory) breaks
     the pool; that surfaces as ShardLostError naming the shards whose
-    results were not yet read.  Closing the generator shuts the pool down,
-    at once if results are left unread: it terminates the workers, so the
-    shards they run stop as well as those still queued."""
+    results were not yet read.  Any other early end while results are left
+    unread (a shard's exception, Ctrl-C, closing the generator) terminates
+    the workers, so the shards they run stop as well as those still queued."""
     # Imported on first use: it loads logging and multiprocessing, which the
     # package import and jobs=1 runs do without.
     from concurrent.futures import ProcessPoolExecutor
@@ -505,8 +505,8 @@ def _run_in_pool(run, shards, workers: int):
                 yield future.result()
         except BrokenProcessPool as exc:
             raise ShardLostError(shards[i:]) from exc
-        except GeneratorExit:
-            if i + 1 < len(futures):  # closed with results unread
+        except BaseException:
+            if i + 1 < len(shards):  # results left unread
                 # Python 3.14 has terminate_workers(); before it the pool's
                 # _processes map is the only handle on the workers.
                 for process in list(pool._processes.values()):
@@ -539,15 +539,15 @@ def enumerate_cycles(k: int, algorithm: str = "dfs", *,
     its kept sequences, in order, to a file in a temporary directory.  Shard
     results are read in plan order, and the sink receives their merge one
     start at a time, as soon as its last shard is in: canonical sequences in
-    strictly ascending order, identical for every jobs value.
+    strictly ascending order, identical for every jobs value.  simple_filter
+    counts the simple ones too; emit_only_simple also feeds the sink only those.
     """
     board = BoardSpec.for_cycle_length(k)
     if algorithm not in ("dfs", "mitm"):
         raise ValueError(f"unknown algorithm {algorithm!r}")
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    if emit_only_simple and not simple_filter:
-        raise ValueError("emit_only_simple requires simple_filter")
+    simple_filter = simple_filter or emit_only_simple
 
     started = time.perf_counter()
     starts = range(1, _last_start(k) + 1)

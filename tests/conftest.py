@@ -65,9 +65,9 @@ def keys_by_k():
 
 @pytest.fixture
 def board5() -> BoardSpec:
-    return BoardSpec.square(5)
+    return BoardSpec(5)
 
 
 @pytest.fixture
 def board6() -> BoardSpec:
-    return BoardSpec.square(6)
+    return BoardSpec(6)

@@ -117,7 +117,7 @@ class TestCriterion3CrossAlgorithmOracle:
             listing: list[tuple[int, ...]] = []
             enumerate_cycles(k, alg, sink=listing.append)
             paths[alg] = tmp_path / f"{alg}-{k}.cycles"
-            write_cycles(listing, paths[alg])
+            write_cycles(listing, paths[alg], k)
         identical = paths["dfs"].read_bytes() == paths["mitm"].read_bytes()
         failure = report(f"listings k={k} dfs == mitm", identical)
         assert not failure
@@ -135,7 +135,7 @@ class TestCriterion3CrossAlgorithmOracle:
 
 class TestCriterion4Canonicalization:
     def test_published_family_canonicalizes_to_one_key(self):
-        board = BoardSpec.square(5)
+        board = BoardSpec(5)
         failures = []
         for seq in (MINIMAL_K8_W5,) + EQUIVALENT_K8_W5:
             cycle = validate_cycle(seq, board)
@@ -151,7 +151,7 @@ class TestCriterion4Canonicalization:
 
 class TestCriterion5Twins:
     def test_three_placements_form_one_twin_group(self, keys_by_k):
-        board = BoardSpec.square(6)
+        board = BoardSpec(6)
         cycles = [validate_cycle(s, board) for s in TWIN_K8_W6]
         failures = []
         keys = {canonicalize(c).cells for c in cycles}
@@ -170,14 +170,14 @@ class TestCriterion5Twins:
 class TestCriterion6Properties:
     def test_knight_graph_edge_formula(self):
         ok = all(
-            sum(len(adjacency(BoardSpec.square(n))[i])
+            sum(len(adjacency(BoardSpec(n))[i])
                 for i in range(1, n * n + 1)) == 2 * 4 * (n - 2) * (n - 1)
             for n in range(3, 13))
         failure = report("edge count 4(n-2)(n-1) for n=3..12", ok)
         assert not failure
 
     def test_canonicalize_fixed_point_and_orbit_soundness_k6(self, keys_by_k):
-        board = BoardSpec.square(7)
+        board = BoardSpec(7)
         bad = 0
         for key in keys_by_k(6):
             if canonicalize(CycleSeq(key, board)).cells != key:
@@ -228,7 +228,7 @@ class TestCriterion6Properties:
 
     def test_cycle_file_round_trip(self, tmp_path, keys_by_k):
         path = tmp_path / "k6.cycles"
-        write_cycles(keys_by_k(6), path)
+        write_cycles(keys_by_k(6), path, 6)
         back = tuple(c.cells for c in read_cycles(path))
         failure = report("cycle file round trip", back == keys_by_k(6))
         assert not failure

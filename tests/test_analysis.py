@@ -43,7 +43,7 @@ class TestTwins:
         groups = group_geometric_twins(keys)
         grouped = sum(len(g.members) for g in groups)
         from knightcycles.cycles import CycleSeq, canonical_cell_set
-        board = BoardSpec.square(9)
+        board = BoardSpec(9)
         all_sets = {canonical_cell_set(CycleSeq(key, board)) for key in keys}
         singletons = len(all_sets) - len(groups)
         assert grouped + singletons == 480
@@ -92,14 +92,14 @@ class TestVerifyTables:
 class TestCycleFiles:
     def test_round_trip(self, tmp_path, keys_by_k):
         path = tmp_path / "k4.cycles"
-        count = write_cycles(keys_by_k(4), path)
+        count = write_cycles(keys_by_k(4), path, 4)
         assert count == 3
         back = [c.cells for c in read_cycles(path)]
         assert back == list(keys_by_k(4))
 
     def test_exact_bytes(self, tmp_path, keys_by_k):
         path = tmp_path / "k4.cycles"
-        write_cycles(keys_by_k(4), path)
+        write_cycles(keys_by_k(4), path, 4)
         expected = (
             "KNIGHT-CYCLES v1 k=4 board=5x5 count=3 filter=all\n"
             "1 8 19 12\n"
@@ -110,15 +110,15 @@ class TestCycleFiles:
 
     def test_header_carries_count_25(self, tmp_path, keys_by_k):
         path = tmp_path / "k6.cycles"
-        write_cycles(keys_by_k(6), path)
+        write_cycles(keys_by_k(6), path, 6)
         header = read_cycle_header(path.read_text().splitlines()[0])
         assert header.count == 25
         assert header.k == 6
-        assert header.board == BoardSpec.square(7)
+        assert header.board == BoardSpec(7)
 
     def test_count_mismatch_detected(self, tmp_path, keys_by_k):
         path = tmp_path / "bad.cycles"
-        write_cycles(keys_by_k(4), path)
+        write_cycles(keys_by_k(4), path, 4)
         text = path.read_text().replace("count=3", "count=2")
         path.write_text(text)
         with pytest.raises(ParseError, match="count"):
@@ -126,7 +126,7 @@ class TestCycleFiles:
 
     def test_truncated_body_detected(self, tmp_path, keys_by_k):
         path = tmp_path / "short.cycles"
-        write_cycles(keys_by_k(4), path)
+        write_cycles(keys_by_k(4), path, 4)
         lines = path.read_text().splitlines()
         path.write_text("\n".join(lines[:-1]) + "\n")
         with pytest.raises(ParseError, match="count"):
@@ -157,7 +157,7 @@ class TestCycleFiles:
 
     def test_non_cycle_line_reported_with_number(self, tmp_path, keys_by_k):
         path = tmp_path / "broken.cycles"
-        write_cycles(keys_by_k(4), path)
+        write_cycles(keys_by_k(4), path, 4)
         lines = path.read_text().splitlines()
         assert lines[2] == "2 9 18 11"
         for bad in ("1 2 3 4", "1 8 x 12",
@@ -183,7 +183,7 @@ class TestCycleFiles:
         yields the same cycles, and fails with the same message and line, as
         at the default chunk size."""
         path = tmp_path / "k4.cycles"
-        write_cycles(keys_by_k(4), path)
+        write_cycles(keys_by_k(4), path, 4)
         original = path.read_bytes()
         edits = (b" ", b"  ", b"\r", b"\t", b"0", b"+", b"_", b"\n", b"",
                  b"\xff", "\u0662".encode(), b"1", b"9")
@@ -222,7 +222,7 @@ class TestCycleFiles:
         body = sorted([*simple, CROSSING_K6])
         at = body.index(CROSSING_K6)
         path = tmp_path / "k6.cycles"
-        write_cycles(body, path, filter_tag="simple")
+        write_cycles(body, path, 6, filter_tag="simple")
         for chunk in (analysis._CHUNK, 1):
             read = []
             with monkeypatch.context() as patch:
@@ -231,12 +231,12 @@ class TestCycleFiles:
                     read.extend(cycle.cells for cycle in read_cycles(path))
             assert err.value.line == at + 2
             assert read == body[:at]
-        write_cycles(body, path, filter_tag="all")
+        write_cycles(body, path, 6, filter_tag="all")
         assert [cycle.cells for cycle in read_cycles(path)] == body
 
     def test_out_of_range_index(self, tmp_path, keys_by_k):
         path = tmp_path / "range.cycles"
-        write_cycles(keys_by_k(4), path)
+        write_cycles(keys_by_k(4), path, 4)
         lines = path.read_text().splitlines()
         lines[1] = "1 8 15 99"
         path.write_text("\n".join(lines) + "\n")
@@ -247,7 +247,7 @@ class TestCycleFiles:
     @pytest.mark.parametrize("edit", ["swapped pair", "repeated line"])
     def test_unordered_body_reported_with_number(self, tmp_path, keys_by_k, edit):
         path = tmp_path / "order.cycles"
-        write_cycles(keys_by_k(4), path)
+        write_cycles(keys_by_k(4), path, 4)
         lines = path.read_text().splitlines()
         if edit == "swapped pair":
             lines[2], lines[3] = lines[3], lines[2]
@@ -261,7 +261,7 @@ class TestCycleFiles:
     def test_writer_rejects_unsorted(self, tmp_path, keys_by_k):
         keys = list(keys_by_k(4))
         with pytest.raises(ValueError, match="ascending"):
-            write_cycles([keys[1], keys[0]], tmp_path / "x.cycles")
+            write_cycles([keys[1], keys[0]], tmp_path / "x.cycles", 4)
         assert not (tmp_path / "x.cycles").exists()
         with pytest.raises(ValueError, match="filter tag"):
             CycleFileWriter(tmp_path / "x.cycles", 4, "both")
@@ -272,7 +272,7 @@ class TestCycleFiles:
         assert list(tmp_path.iterdir()) == []
 
     def test_empty_listing_needs_length(self, tmp_path):
-        with pytest.raises(ValueError, match="length"):
+        with pytest.raises(TypeError):  # k is never guessed
             write_cycles([], tmp_path / "empty.cycles")
         for k in (2, 3, 18):  # lengths the reader refuses: nothing is written
             with pytest.raises(ValueError, match="length"):
@@ -291,7 +291,7 @@ class TestCycleFiles:
     def test_failed_close_keeps_previous_listing(self, tmp_path, keys_by_k,
                                                  monkeypatch):
         path = tmp_path / "x.cycles"
-        write_cycles(keys_by_k(6), path)
+        write_cycles(keys_by_k(6), path, 6)
         previous = path.read_bytes()
 
         def copy_then_fail(src, dst):
@@ -300,7 +300,7 @@ class TestCycleFiles:
 
         monkeypatch.setattr(shutil, "copyfileobj", copy_then_fail)
         with pytest.raises(OSError, match="disk full"):
-            write_cycles(keys_by_k(8), path)
+            write_cycles(keys_by_k(8), path, 8)
         assert path.read_bytes() == previous
         assert [p.name for p in tmp_path.iterdir()] == ["x.cycles"]
 
@@ -328,7 +328,7 @@ class TestCycleFiles:
     def test_listing_mode_follows_umask(self, tmp_path, keys_by_k, umask):
         old = os.umask(umask)
         try:
-            write_cycles(keys_by_k(4), tmp_path / "x.cycles")
+            write_cycles(keys_by_k(4), tmp_path / "x.cycles", 4)
         finally:
             os.umask(old)
         assert stat.S_IMODE((tmp_path / "x.cycles").stat().st_mode) == 0o666 & ~umask
@@ -347,7 +347,7 @@ class TestChunkBoundaries:
         """The k=10 listing's header, its body lines with their LFs, and the
         index of each chunk's first line."""
         path = tmp_path_factory.mktemp("chunks") / "k10.cycles"
-        write_cycles(keys_by_k(self.K), path)
+        write_cycles(keys_by_k(self.K), path, self.K)
         with open(path) as fh:
             header = fh.readline()
             starts = [0]
@@ -390,7 +390,7 @@ class TestChunkBoundaries:
     def test_one_line_edit(self, listing, tmp_path, monkeypatch, edit):
         header, body, starts = listing
         size = (self.K + 1) ** 2
-        moves = knight_moves(BoardSpec.square(self.K + 1))
+        moves = knight_moves(BoardSpec(self.K + 1))
         for at in self.positions(starts, body):
             cells = list(map(int, body[at].split()))
             if edit == "malformed":
@@ -493,12 +493,12 @@ class TestRender:
         assert flipped == [(5.0 - x, 5.0 - y) for x, y in base]
 
     def test_crossing_cycle_renders(self):
-        cycle = validate_cycle(CROSSING_K6, BoardSpec.square(7))
+        cycle = validate_cycle(CROSSING_K6, BoardSpec(7))
         assert "polyline" in render(cycle, "svg")
         assert render(cycle, "ascii").count("\n") == 7
 
     def test_length4_segments(self, keys_by_k):
-        cycle = validate_cycle(keys_by_k(4)[0], BoardSpec.square(5))
+        cycle = validate_cycle(keys_by_k(4)[0], BoardSpec(5))
         svg = render(cycle, "svg")
         (line,) = [l for l in svg.splitlines() if "polyline" in l]
         assert len(line.split('points="')[1].split('"')[0].split()) == 5

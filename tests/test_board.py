@@ -39,13 +39,13 @@ class TestIndexing:
 
     @pytest.mark.parametrize("n", [3, 5, 6, 9], ids=lambda n: f"{n}-{n}")
     def test_round_trip_every_cell(self, n):
-        board = BoardSpec.square(n)
+        board = BoardSpec(n)
         for i in range(1, board.size + 1):
             assert index_of(coord_of(i, board), board) == i
 
     def test_degenerate_board_rejected(self):
         with pytest.raises(ValueError):
-            BoardSpec.square(0)
+            BoardSpec(0)
         with pytest.raises(TypeError):  # square boards only
             BoardSpec(5, 7)
 
@@ -60,7 +60,7 @@ class TestIndexing:
                 assert str(exc) == (
                     f"no cycle length k={k}: want an even k within 4..16")
             else:
-                assert board == BoardSpec.square(k + 1)
+                assert board == BoardSpec(k + 1)
                 accepted.append(k)
         assert accepted == sorted(EXPECTED_COUNTS)
 
@@ -108,7 +108,7 @@ class TestNeighbors:
     def test_ascending_and_consistent_with_predicate(self):
         """Each neighbour list is ascending and holds exactly the cells a
         knight move away, with no move wrapping across a row."""
-        for board in (BoardSpec.square(6), BoardSpec.square(3), BoardSpec.square(7)):
+        for board in (BoardSpec(6), BoardSpec(3), BoardSpec(7)):
             cells = range(1, board.size + 1)
             for i in cells:
                 nbrs = adjacency(board)[i]
@@ -119,7 +119,7 @@ class TestNeighbors:
 
     def test_degree_bounds_on_big_enough_boards(self):
         for n in range(5, 10):
-            board = BoardSpec.square(n)
+            board = BoardSpec(n)
             degrees = [len(adjacency(board)[i])
                        for i in range(1, board.size + 1)]
             assert min(degrees) >= 2
@@ -127,7 +127,7 @@ class TestNeighbors:
 
     @pytest.mark.parametrize("n", range(3, 13))
     def test_edge_count_formula(self, n):
-        board = BoardSpec.square(n)
+        board = BoardSpec(n)
         directed = sum(len(adjacency(board)[i]) for i in range(1, board.size + 1))
         assert directed == 2 * 4 * (n - 2) * (n - 1)
 

@@ -266,6 +266,21 @@ class TestListAndCheck:
         assert err == f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
         assert list(tmp_path.iterdir()) == []
 
+    def test_a_spool_that_cannot_be_made_gives_exit_1(self, tmp_path, capsys,
+                                                      monkeypatch):
+        """An OSError while the writer makes its spool beside --out (here
+        EACCES) is a failed write, not a refused argument: exit 1 with one
+        line, and nothing in the directory."""
+        def refused(*args, **kwargs):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES))
+
+        monkeypatch.setattr(tempfile, "TemporaryFile", refused)
+        out_file = tmp_path / "x.cycles"
+        code, out, err = run_cli(capsys, "list", "--length", "8", "--out", str(out_file))
+        assert (code, out) == (1, "")
+        assert err == f"error: [Errno {errno.EACCES}] {os.strerror(errno.EACCES)}\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_a_failed_run_is_one_line_and_a_bug_a_traceback(
             self, tmp_path, capsys, monkeypatch):
         """A shard emitted out of order ends `list` with exit 1 and one line;
@@ -358,11 +373,11 @@ class TestListAndCheck:
         listing still passes."""
         crossed = (1, 10, 5, 18, 3, 16)
         out_file = tmp_path / "k6-crossed.cycles"
-        write_cycles([crossed], out_file, filter_tag="simple")
+        write_cycles([crossed], out_file, 6, filter_tag="simple")
         code, _, err = run_cli(capsys, "check", "--in", str(out_file))
         assert code == 1
         assert f"{out_file}: line 2: not simple: 1,10,5,18,3,16" in err
-        write_cycles([crossed], out_file, filter_tag="all")
+        write_cycles([crossed], out_file, 6, filter_tag="all")
         assert run_cli(capsys, "check", "--in", str(out_file))[0] == 0
         out_file = tmp_path / "k8-simple.cycles"
         assert run_cli(capsys, "list", "--length", "8", "--simple-only",
@@ -433,7 +448,7 @@ class TestListAndCheck:
         """A byte outside ASCII is a malformed line: exit 1 with the file
         and line, not a decode error reported as a usage error."""
         out_file = tmp_path / "k4.cycles"
-        write_cycles([(1, 8, 19, 12), (2, 9, 18, 11)], out_file)
+        write_cycles([(1, 8, 19, 12), (2, 9, 18, 11)], out_file, 4)
         out_file.write_bytes(out_file.read_bytes().replace(b"8 19", b"8 \xff19"))
         code, _, err = run_cli(capsys, "check", "--in", str(out_file))
         assert code == 1
@@ -448,7 +463,7 @@ class TestListAndCheck:
         body = sorted([*listed, backwards])
         at = body.index(backwards)
         out_file = tmp_path / "k8.cycles"
-        write_cycles(body[at - 20:at + 21], out_file)  # backwards is cycle 21
+        write_cycles(body[at - 20:at + 21], out_file, 8)  # backwards is cycle 21
         lines = out_file.read_text().splitlines(keepends=True)
         lines[23] = lines[23].replace(" ", "  ", 1)  # cycle 23
         assert len("".join(lines[1:])) < analysis._CHUNK
@@ -460,7 +475,7 @@ class TestListAndCheck:
     def test_check_names_a_flaw_deep_in_the_body(self, tmp_path, capsys, keys_by_k):
         """The k=10 listing with a repeated cell on line 5001 only."""
         out_file = tmp_path / "k10.cycles"
-        write_cycles(keys_by_k(10), out_file)
+        write_cycles(keys_by_k(10), out_file, 10)
         lines = out_file.read_text().splitlines(keepends=True)
         cells = lines[5000].split()
         cells[-1] = cells[-3]  # still a knight move from the cell before it
@@ -475,7 +490,7 @@ class TestListAndCheck:
         """The k=10 listing, larger than a pipe's buffer, checks the same
         through /dev/stdin or a FIFO as by path: check reads its input once."""
         listing = tmp_path / "k10.cycles"
-        write_cycles(keys_by_k(10), listing)
+        write_cycles(keys_by_k(10), listing, 10)
         ok = "OK, 12000 cycles of length 10, filter=all\n"
         by_path = check_in_child(listing)
         assert (by_path.returncode, by_path.stdout, by_path.stderr) == (

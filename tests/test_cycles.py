@@ -28,7 +28,7 @@ class TestValidation:
     def test_width_changes_validity(self):
         # the same numbers decoded 9-wide put 3 and 7 on one row
         with pytest.raises(CycleValidationError) as err:
-            validate_cycle(TWIN_K8_W6[0], BoardSpec.square(9))
+            validate_cycle(TWIN_K8_W6[0], BoardSpec(9))
         assert "3->7" in str(err.value)
         assert err.value.position == 0
 
@@ -116,7 +116,7 @@ class TestCanonicalize:
     def test_canonical_key_reencodes_on_standard_board(self, board5):
         cycle = validate_cycle(MINIMAL_K8_W5, board5)
         key = canonical_key(cycle)
-        assert key.board == BoardSpec.square(9)
+        assert key.board == BoardSpec(9)
         # same placement, different numbering
         assert [coord_of(i, key.board) for i in key.cells] == \
             [coord_of(i, board5) for i in MINIMAL_K8_W5]
@@ -141,7 +141,7 @@ class TestIsMinimal:
 
     def test_off_column_zero_is_never_minimal(self):
         # the minimal figure shifted one column right on a wider board
-        board9 = BoardSpec.square(9)
+        board9 = BoardSpec(9)
         shifted = tuple(i + (i - 1) // 5 * 4 + 1 for i in MINIMAL_K8_W5)
         cycle = validate_cycle(shifted, board9)
         assert not is_minimal(cycle)
@@ -155,7 +155,7 @@ class TestIsMinimal:
         oracle's canonical sequence (the same for every
         re-encoding, so computed once per class), once per class."""
         standard = BoardSpec.for_cycle_length(k)
-        larger = BoardSpec.square(k + 2)
+        larger = BoardSpec(k + 2)
         placements = ((standard, (0, 0)), (larger, (0, 0)),
                       (larger, (1, 0)), (larger, (0, 1)))
         stabilizers = set()
@@ -206,7 +206,7 @@ class TestIsMinimal:
         side = data.draw(st.integers(k + 1, k + 4))
         shift = (data.draw(st.integers(0, side - 1 - span)),
                  data.draw(st.integers(0, side - 1 - span)))
-        board = BoardSpec.square(side)
+        board = BoardSpec(side)
         canonical = _canonical_coords(coords)
         oracle = tuple(index_of(p, board) for p in canonical)
         reencodings = []
@@ -250,12 +250,12 @@ class TestEquivalence:
         assert canonical_key(cycle) == canonical_key(reverse)
 
     def test_different_lengths_never_equivalent(self, keys_by_k):
-        a = CycleSeq(keys_by_k(4)[0], BoardSpec.square(5))
-        b = CycleSeq(keys_by_k(6)[0], BoardSpec.square(7))
+        a = CycleSeq(keys_by_k(4)[0], BoardSpec(5))
+        b = CycleSeq(keys_by_k(6)[0], BoardSpec(7))
         assert canonical_key(a) != canonical_key(b)
 
     def test_equivalence_relation_on_k6_classes(self, keys_by_k):
-        board = BoardSpec.square(7)
+        board = BoardSpec(7)
         cycles = [CycleSeq(key, board) for key in keys_by_k(6)]
         for c in cycles:
             assert canonical_key(c) == canonical_key(c)
@@ -275,33 +275,48 @@ def _coordinate_cell_set(cycle: CycleSeq) -> tuple[int, ...]:
                for elem in DIHEDRAL_ELEMENTS)
 
 
+def _twins_on_the_k8_board(board6) -> list[CycleSeq]:
+    """TWIN_K8_W6 decoded on 6x6 and re-encoded, at the same coordinates, on
+    the 9x9 board where canonical_cell_set keys a length-8 cycle."""
+    standard = BoardSpec.for_cycle_length(8)
+    return [CycleSeq(tuple(index_of(p, standard)
+                           for p in validate_cycle(seq, board6).coords()), standard)
+            for seq in TWIN_K8_W6]
+
+
 class TestCellSet:
     @pytest.mark.parametrize("k", [4, 6, 8])
     def test_matches_coordinates_on_every_image(self, k, keys_by_k):
-        """Every class in each of its 8 images, on the standard board and
-        shifted by one row or one column on a board one cell wider (the
-        placements of test_core_matches_oracle_on_every_reencoding), and
-        shifted on the standard board where it fits: the key is the
+        """Every class in each of its 8 images on the standard board, also
+        shifted by one row or one column where it fits: the key is the
         coordinate reference of the class."""
         standard = BoardSpec.for_cycle_length(k)
-        larger = BoardSpec.square(k + 2)
-        placements = ((standard, (0, 0)), (larger, (0, 0)),
-                      (larger, (1, 0)), (larger, (0, 1)),
-                      (standard, (1, 0)), (standard, (0, 1)))
-        shifted_on_standard = 0
+        shifted = 0
         for key in keys_by_k(k):
             coords = [coord_of(i, standard) for i in key]
             reference = _coordinate_cell_set(CycleSeq(key, standard))
-            for board, (dr, dc) in placements:
+            for dr, dc in ((0, 0), (1, 0), (0, 1)):
                 for elem in DIHEDRAL_ELEMENTS:
                     pts = [(r + dr, c + dc) for r, c in
                            normalize_translation(apply_dihedral(coords, elem))]
-                    if max(map(max, pts)) >= board.width:
+                    if max(map(max, pts)) >= standard.width:
                         continue
-                    shifted_on_standard += board == standard and (dr, dc) != (0, 0)
-                    cycle = CycleSeq(tuple(index_of(p, board) for p in pts), board)
-                    assert canonical_cell_set(cycle) == reference, (key, board, elem)
-        assert shifted_on_standard > 0
+                    shifted += (dr, dc) != (0, 0)
+                    cycle = CycleSeq(tuple(index_of(p, standard) for p in pts), standard)
+                    assert canonical_cell_set(cycle) == reference, (key, elem, dr, dc)
+        assert shifted > 0
+
+    @pytest.mark.parametrize("side", [7, 10])
+    def test_refuses_a_cycle_off_its_standard_board(self, side, board6):
+        """A length-8 cycle is keyed on the 9x9 board only: on any other it
+        raises ValueError instead of being re-encoded."""
+        for seq in TWIN_K8_W6:
+            cells = tuple(index_of(p, BoardSpec(side))
+                          for p in validate_cycle(seq, board6).coords())
+            with pytest.raises(ValueError, match="keyed on the 9x9 board"):
+                canonical_cell_set(CycleSeq(cells, BoardSpec(side)))
+        with pytest.raises(ValueError, match="keyed on the 9x9 board"):
+            canonical_cell_set(validate_cycle(TWIN_K8_W6[0], board6))
 
     def test_matches_coordinates_on_every_k10_class(self, keys_by_k):
         board = BoardSpec.for_cycle_length(10)
@@ -310,24 +325,23 @@ class TestCellSet:
             assert canonical_cell_set(cycle) == _coordinate_cell_set(cycle), key
 
     def test_twins_share_cell_set_key(self, board6):
-        keys = {canonical_cell_set(validate_cycle(s, board6)) for s in TWIN_K8_W6}
+        keys = {canonical_cell_set(cycle) for cycle in _twins_on_the_k8_board(board6)}
         assert len(keys) == 1
 
     def test_key_is_ascending_on_standard_board(self, board6):
-        key = canonical_cell_set(validate_cycle(TWIN_K8_W6[0], board6))
+        key = canonical_cell_set(_twins_on_the_k8_board(board6)[0])
         assert list(key) == sorted(key)
         assert all(1 <= i <= 81 for i in key)
 
     def test_invariant_under_canonicalization(self, board6):
-        for seq in TWIN_K8_W6:
-            cycle = validate_cycle(seq, board6)
+        for cycle in _twins_on_the_k8_board(board6):
             assert canonical_cell_set(canonicalize(cycle)) == \
                 canonical_cell_set(cycle)
             assert canonical_cell_set(canonical_key(cycle)) == \
                 canonical_cell_set(cycle)
 
     def test_all_k6_classes_have_distinct_keys(self, keys_by_k):
-        board = BoardSpec.square(7)
+        board = BoardSpec(7)
         keys = {canonical_cell_set(CycleSeq(key, board)) for key in keys_by_k(6)}
         assert len(keys) == len(keys_by_k(6)) == 25
 

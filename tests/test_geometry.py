@@ -65,20 +65,20 @@ class TestSegmentsCross:
 
 class TestIsSimple:
     def test_every_length4_cycle_is_simple(self, keys_by_k):
-        board = BoardSpec.square(5)
+        board = BoardSpec(5)
         for key in keys_by_k(4):
             assert is_simple(CycleSeq(key, board))
 
     def test_exactly_13_of_25_length6(self, keys_by_k):
-        board = BoardSpec.square(7)
+        board = BoardSpec(7)
         simple = [key for key in keys_by_k(6) if is_simple(CycleSeq(key, board))]
         assert len(simple) == 13
 
     def test_crossing_sample(self):
-        assert not is_simple(CycleSeq(CROSSING_K6, BoardSpec.square(7)))
+        assert not is_simple(CycleSeq(CROSSING_K6, BoardSpec(7)))
 
     def test_invariant_under_symmetry(self, keys_by_k):
-        board = BoardSpec.square(7)
+        board = BoardSpec(7)
         for key in keys_by_k(6):
             cycle = CycleSeq(key, board)
             expect = is_simple(cycle)
@@ -100,7 +100,7 @@ class TestIsSimple:
 class TestKnightSegmentLatticeProperty:
     @pytest.mark.parametrize("n", [5, 6, 7, 8])
     def test_no_interior_lattice_points(self, n):
-        board = BoardSpec.square(n)
+        board = BoardSpec(n)
         adj = adjacency(board)
         for u in range(1, board.size + 1):
             for v in adj[u]:
@@ -224,7 +224,7 @@ class TestCrossingTable:
         and drops the crossers that leave the board; its masks equal those
         from testing every pair of edges, on small boards where most of the
         stencil falls off as on the k=16 board."""
-        board = BoardSpec.square(side)
+        board = BoardSpec(side)
         table = crossing_table(board)
         adj = adjacency(board)
         edges = [(u, v) for u in range(1, board.size + 1)
@@ -240,7 +240,7 @@ class TestCrossingTable:
             assert table._edges[e[::-1]] == table._edges[e]
 
     def test_cached_per_board(self):
-        board = BoardSpec.square(7)
+        board = BoardSpec(7)
         assert crossing_table(board) is crossing_table(board)
 
     def test_minimal_sample(self, board5):

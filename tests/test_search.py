@@ -192,7 +192,7 @@ class TestHalfPaths:
         assert got == sorted(got)
 
     def test_invariants(self):
-        board = BoardSpec.square(9)
+        board = BoardSpec(9)
         for t in (12, 20, 30):
             for cells in _half_paths_raw(board, 8, 2, t):
                 assert len(cells) == 5
@@ -218,7 +218,7 @@ class TestAssemble:
         assert _pair_emissions(board5, 4, 1, 15) == []
 
     def test_rejects_shared_interior(self):
-        board = BoardSpec.square(9)
+        board = BoardSpec(9)
         masks = [_mask(cells) for cells in _half_paths_raw(board, 8, 1, 25)]
         base = _mask((1, 25))
         assert any(a & b != base for a in masks for b in masks if a != b)
@@ -227,7 +227,7 @@ class TestAssemble:
         assert all(len(set(seq)) == 8 for seq in emitted)
 
     def test_emissions_keep_pair_endpoints(self, board5):
-        board9 = BoardSpec.square(9)
+        board9 = BoardSpec(9)
         for board, k, s, t in ((board5, 4, 2, 18), (board9, 8, 1, 25),
                                (board9, 8, 2, 20), (board9, 8, 2, 30)):
             for seq in _pair_emissions(board, k, s, t):
@@ -728,17 +728,16 @@ class TestParallelDriver:
             enumerate_cycles(6, "bogus")
         with pytest.raises(ValueError):
             enumerate_cycles(6, "dfs", jobs=0)
-        with pytest.raises(ValueError):
-            enumerate_cycles(6, "dfs", emit_only_simple=True)
 
     def test_emit_only_simple(self):
+        """emit_only_simple alone feeds the sink the simple cycles and turns
+        on their count."""
         listing: list[tuple[int, ...]] = []
-        summary = enumerate_cycles(6, "dfs", simple_filter=True,
-                                   emit_only_simple=True, sink=listing.append)
+        summary = enumerate_cycles(6, "dfs", emit_only_simple=True, sink=listing.append)
         assert summary.total == 25
         assert summary.simple == 13
         assert len(listing) == 13
-        board = BoardSpec.square(7)
+        board = BoardSpec(7)
         from knightcycles.geometry import is_simple
         assert all(is_simple(CycleSeq(key, board)) for key in listing)
 
@@ -1059,6 +1058,40 @@ class TestFailureModes:
             sys.exit(cli.main(argv))
         """, tmp_path)
         assert (code, out, err) == (1, "", "error: out of memory\n")
+        assert os.listdir(tmp_path / "out") == []
+        assert os.listdir(tmp_path) == ["out"]
+
+    @pytest.mark.parametrize("failure, code, line", [
+        ("raise MemoryError", 1, "error: out of memory"),
+        ("os.kill(os.getppid(), signal.SIGINT)", 130, "error: interrupted"),
+    ], ids=["worker_error", "sigint_to_the_driver"])
+    def test_an_early_end_stops_the_running_shards(self, failure, code, line,
+                                                   tmp_path):
+        """Start 1 raises in its worker, or sends SIGINT to the driver alone,
+        while start 2 sleeps 60 s: `list --jobs 2` ends within 15 s with one
+        line and its exit code, because the workers are terminated, not
+        waited for.  Nothing is left at --out or in TMPDIR."""
+        (tmp_path / "out").mkdir()
+        result = _run_child(f"""
+            import os, signal, sys, tempfile, time
+            from knightcycles import cli, search
+
+            tempfile.tempdir = sys.argv[1]
+            signal.signal(signal.SIGINT, signal.default_int_handler)
+            engine = search._dfs_one_start
+
+            def failing(board, k, s, emit):
+                if s == 1:
+                    {failure}
+                if s == 2:
+                    time.sleep(60)
+                engine(board, k, s, emit)
+
+            search._dfs_one_start = failing
+            sys.exit(cli.main(["list", "--length", "8", "--jobs", "2", "--out",
+                               os.path.join(sys.argv[1], "out", "x.cycles")]))
+        """, tmp_path, timeout=15)
+        assert result == (code, "", line + "\n")
         assert os.listdir(tmp_path / "out") == []
         assert os.listdir(tmp_path) == ["out"]
 
