@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from itertools import repeat
 
 from .board import BoardSpec, coord_of
-from .cycles import (CycleSeq, CycleValidationError, canonical_cell_set, knight_moves,
-                     validate_cycle)
+from .cycles import (CycleSeq, CycleValidationError, canonical_cell_set, is_minimal,
+                     knight_moves, validate_cycle)
 from .geometry import crossing_table
 
 # Reference counts per cycle length: (nonequivalent classes, non-self-
@@ -57,9 +57,6 @@ def group_geometric_twins(cycles) -> list[TwinGroup]:
     board: BoardSpec | None = None
     for cells in map(tuple, cycles):
         board = board or BoardSpec.for_cycle_length(len(cells))  # the first cycle's
-        if len(cells) != board.width - 1:
-            raise ValueError(
-                f"mixed cycle lengths: expected {board.width - 1}, got {len(cells)}")
         groups.setdefault(canonical_cell_set(CycleSeq(cells, board)), []).append(cells)
     return [TwinGroup(key, tuple(sorted(members)))
             for key, members in sorted(groups.items())
@@ -200,10 +197,10 @@ def read_cycle_header(line: str) -> CycleFileHeader:
 @contextlib.contextmanager
 def read_listing(path):
     """Read a listing once, front to back (a pipe serves), and yield (header,
-    cycles): line 1 parsed and an iterator of validated CycleSeqs.  Only the
-    writer's bytes pass (ASCII, LF: a CR or stray byte stays in its line), and
-    only a body that keeps every claim of the header (see _read_body); else
-    ParseError names the line of the first flaw."""
+    cycles): line 1 parsed and an iterator of validated, canonical CycleSeqs.
+    Only the writer's bytes pass (ASCII, LF: a CR or stray byte stays in its
+    line), and only a body that keeps every claim of the header (see
+    _read_body); else ParseError names the line of the first flaw."""
     with open(path, encoding="ascii", errors="surrogateescape", newline="\n") as fh:
         header_line = fh.readline(_HEADER_MAX)
         if not header_line.endswith("\n"):
@@ -215,9 +212,10 @@ def read_listing(path):
 def _read_body(fh, header: CycleFileHeader):
     """Test the body a chunk at a time, each test one pass in C: the writer's
     own bytes, knight moves (the closing one too), no repeat, ascending, the
-    count and, under filter=simple, no crossing.  A failed chunk is read again
-    line by line: its cycles before the first flaw are yielded, and ParseError
-    names the flawed line.  A line past the writer's longest is malformed."""
+    count, under filter=simple no crossing, and each line the canonical
+    sequence of its class.  A failed chunk is read again line by line: its
+    cycles before the first flaw are yielded, and ParseError names the flawed
+    line.  A line past the writer's longest is malformed."""
     k, board = header.k, header.board
     line_format, moves = _body_format(k), knight_moves(board)
     number = {str(cell): cell for cell in range(1, board.size + 1)}  # parse and range test
@@ -234,12 +232,14 @@ def _read_body(fh, header: CycleFileHeader):
             following = [*cells[1:], 0]
             following[k - 1::k] = cells[::k]  # each cycle's last cell closes on its first
             cycles = list(zip(*[iter(cells)] * k))
+            chunk = list(map(CycleSeq, cycles, repeat(board)))
             if (moves.issuperset(zip(cells, following))
                     and min(map(len, map(set, cycles))) == k
                     and all(map(tuple.__lt__, [previous, *cycles], cycles))
                     and seen + n <= header.count
-                    and (table is None or all(map(table.is_simple_cells, cycles)))):
-                yield from map(CycleSeq, cycles, repeat(board))
+                    and (table is None or all(map(table.is_simple_cells, cycles)))
+                    and all(map(is_minimal, chunk))):
+                yield from chunk
                 previous, seen = cycles[-1], seen + n
                 continue
         for lineno, line in enumerate(io.StringIO(text, newline="\n"), start=seen + 2):
@@ -268,6 +268,8 @@ def _read_body(fh, header: CycleFileHeader):
                 raise ParseError(str(exc), line=lineno) from None
             if table is not None and not table.is_simple_cells(cells):
                 raise ParseError(f"not simple: {','.join(map(str, cells))}", line=lineno)
+            if not is_minimal(cycle):
+                raise ParseError(f"not canonical: {','.join(map(str, cells))}", line=lineno)
             yield cycle
     if seen != header.count:
         raise ParseError(

@@ -23,7 +23,7 @@ from .analysis import (
     render,
 )
 from .board import BoardSpec
-from .cycles import is_minimal, validate_cycle
+from .cycles import validate_cycle
 from .search import EnumerationError, enumerate_cycles
 
 USAGE_ERROR = 2
@@ -176,10 +176,8 @@ def _cmd_render(args) -> int:
 def _cmd_check(args) -> int:
     try:
         with read_listing(args.infile) as (header, cycles):
-            for line, cycle in enumerate(cycles, start=2):
-                if not is_minimal(cycle):
-                    raise ParseError(
-                        f"not canonical: {','.join(map(str, cycle.cells))}", line)
+            for _ in cycles:  # the reader tests every line
+                pass
     except (ParseError, OSError) as exc:
         print(f"{args.infile}: {exc}", file=sys.stderr)
         return FAILURE

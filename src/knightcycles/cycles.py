@@ -30,13 +30,7 @@ from .board import (
 
 
 class CycleValidationError(ValueError):
-    """A cell sequence that is not a closed knight cycle.  ``position`` is
-    the 0-based index of the first offending element (or None for length
-    problems)."""
-
-    def __init__(self, message: str, position: int | None = None):
-        super().__init__(message)
-        self.position = position
+    """A cell sequence that is not a closed knight cycle (see validate_cycle)."""
 
 
 @dataclass(frozen=True)
@@ -72,20 +66,17 @@ def validate_cycle(cells, board: BoardSpec) -> CycleSeq:
     for pos, cell in enumerate(cells):
         if not (1 <= cell <= size):
             raise CycleValidationError(
-                f"cell {cell} at position {pos} outside board 1..{size}",
-                position=pos)
+                f"cell {cell} at position {pos} outside board 1..{size}")
         if pos and cell not in adj[cells[pos - 1]]:
             raise CycleValidationError(
                 f"step {cells[pos - 1]}->{cell} at position {pos - 1} "
-                f"is not a knight move", position=pos - 1)
+                "is not a knight move")
         if cell in seen:
-            raise CycleValidationError(
-                f"cell {cell} repeated at position {pos}", position=pos)
+            raise CycleValidationError(f"cell {cell} repeated at position {pos}")
         seen.add(cell)
     if cells[0] not in adj[cells[-1]]:
         raise CycleValidationError(
-            f"endpoints {cells[-1]} and {cells[0]} do not close the cycle",
-            position=k - 1)
+            f"endpoints {cells[-1]} and {cells[0]} do not close the cycle")
     return CycleSeq(cells, board)
 
 

@@ -214,23 +214,26 @@ class TestCycleFiles:
         """The 13 simple k=6 classes and, in its sorted place, the crossing
         CROSSING_K6, tagged filter=simple: the reader yields the cycles above
         it and names its line, at the default chunk size and one line a
-        chunk.  Tagged filter=all, the same body reads whole."""
+        chunk.  So it does for CROSSING_K6 walked back, which is not
+        canonical either: the crossing is named first.  Tagged filter=all,
+        the body with CROSSING_K6 reads whole."""
         board = BoardSpec.for_cycle_length(6)
         simple = [cells for cells in keys_by_k(6)
                   if is_simple(CycleSeq(cells, board))]
         assert len(simple) == 13
-        body = sorted([*simple, CROSSING_K6])
-        at = body.index(CROSSING_K6)
         path = tmp_path / "k6.cycles"
-        write_cycles(body, path, 6, filter_tag="simple")
-        for chunk in (analysis._CHUNK, 1):
-            read = []
-            with monkeypatch.context() as patch:
-                patch.setattr(analysis, "_CHUNK", chunk)
-                with pytest.raises(ParseError, match="not simple: 1,10,5,18,3,16$") as err:
-                    read.extend(cycle.cells for cycle in read_cycles(path))
-            assert err.value.line == at + 2
-            assert read == body[:at]
+        for crossed in ((1, 16, 3, 18, 5, 10), CROSSING_K6):  # CROSSING_K6's body last
+            body = sorted([*simple, crossed])
+            at, flawed = body.index(crossed), ",".join(map(str, crossed))
+            write_cycles(body, path, 6, filter_tag="simple")
+            for chunk in (analysis._CHUNK, 1):
+                read = []
+                with monkeypatch.context() as patch:
+                    patch.setattr(analysis, "_CHUNK", chunk)
+                    with pytest.raises(ParseError, match=f"not simple: {flawed}$") as err:
+                        read.extend(cycle.cells for cycle in read_cycles(path))
+                assert err.value.line == at + 2
+                assert read == body[:at]
         write_cycles(body, path, 6, filter_tag="all")
         assert [cycle.cells for cycle in read_cycles(path)] == body
 
@@ -386,7 +389,8 @@ class TestChunkBoundaries:
             assert self.outcome(path, monkeypatch, chunk) == (cells, error, line)
 
     @pytest.mark.parametrize("edit", ["malformed", "too long", "out of range",
-                                      "not a move", "not closed", "repeated"])
+                                      "not a move", "not closed", "repeated",
+                                      "not canonical"])
     def test_one_line_edit(self, listing, tmp_path, monkeypatch, edit):
         header, body, starts = listing
         size = (self.K + 1) ** 2
@@ -411,11 +415,17 @@ class TestChunkBoundaries:
                                     if (cells[-2], c) in moves
                                     and (c, cells[0]) not in moves and c not in cells)
                     message = "endpoints"
+                elif edit == "not canonical":  # its class walked back: cells[1] > cells[-1]
+                    cells[1:] = cells[:0:-1]
+                    message = f"not canonical: {','.join(map(str, cells))}"
                 else:  # the cell two back is a knight move from the one before
                     cells[-1] = cells[-3]
                     message = f"cell {cells[-3]} repeated at position {self.K - 1}"
                 text = " ".join(map(str, cells)) + "\n"
-            edited = body[:at] + [text] + body[at + 1:]
+            tail = body[at + 1:]
+            if edit == "not canonical":  # drop the lines it sorts above
+                tail = [line for line in tail if list(map(int, line.split())) > cells]
+            edited = body[:at] + [text] + tail
             self.assert_flaw_at(tmp_path, monkeypatch, header, edited, at,
                                 message)
 
