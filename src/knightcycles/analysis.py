@@ -50,25 +50,23 @@ def group_geometric_twins(cycles) -> list[TwinGroup]:
     """Group canonical sequences by symmetry-minimized cell set and return
     the groups with at least two members, sorted by key.
 
-    ``cycles`` must all have one length and already be canonical (as emitted
-    by the engines); members within a group come out sorted.
+    ``cycles`` must already be canonical (as emitted by the engines); keys of
+    different lengths never meet, so each length is grouped on its own.
+    Members within a group come out sorted.
     """
     groups: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    board: BoardSpec | None = None
     for cells in map(tuple, cycles):
-        board = board or BoardSpec.for_cycle_length(len(cells))  # the first cycle's
-        groups.setdefault(canonical_cell_set(CycleSeq(cells, board)), []).append(cells)
+        groups.setdefault(canonical_cell_set(cells), []).append(cells)
     return [TwinGroup(key, tuple(sorted(members)))
             for key, members in sorted(groups.items())
             if len(members) >= 2]
 
 
 class ParseError(ValueError):
-    """A flaw in a listing at a line; ``line`` is its 1-based number."""
+    """A flaw in a listing; its message starts with ``line N: ``, N 1-based."""
 
     def __init__(self, message: str, line: int):
         super().__init__(f"line {line}: {message}")
-        self.line = line
 
 
 def check_output_path(path: str) -> str:
@@ -135,7 +133,10 @@ class CycleFileWriter:
 
     def close(self) -> None:
         """Publish header and body through publish(): a failure part-way
-        leaves any earlier listing at the path intact."""
+        leaves any earlier listing at the path intact.  A no-op after close()
+        or abort()."""
+        if self._body.closed:
+            return
         with self._body:
             self._body.seek(0)
             with publish(self._target) as out:

@@ -134,15 +134,12 @@ def is_minimal(cycle: CycleSeq) -> bool:
     return _is_minimal_given(cells, side, _side_extremes(cells, side))
 
 
-def canonical_cell_set(cycle: CycleSeq) -> tuple[int, ...]:
-    """The visited cells of a cycle on its standard (k+1) x (k+1) board,
+def canonical_cell_set(cells: tuple[int, ...]) -> tuple[int, ...]:
+    """The visited cells of a k-cell sequence on the (k+1) x (k+1) board,
     ascending and minimized over symmetry: the least of the 8 images' sorted
     cell sets under _symmetry_tables, each shifted by the least image of the
     placement's 4 box corners.  Twin detection groups cycles by this key."""
-    side, cells = len(cycle) + 1, cycle.cells
-    if cycle.board.width != side:
-        raise ValueError(f"a cycle of length {side - 1} is keyed on the {side}x{side} "
-                         f"board, not on {cycle.board.width}x{cycle.board.width}")
+    side = len(cells) + 1
     tables, image_of = _symmetry_tables(side), itemgetter(*cells)
     by_col = image_of(tables[3])  # the transpose numbers the cells by column
     corners = [(row - 1) // side * side + (col - 1) // side + 1

@@ -56,7 +56,6 @@ UNREACHED = 255
 @dataclass
 class EnumerationSummary:
     k: int
-    algorithm: str
     total: int
     simple: int | None
     per_start: dict[int, int]
@@ -77,7 +76,6 @@ class ShardLostError(EnumerationError):
         shown = " ".join(names[:8]) + (" ..." if len(names) > 8 else "")
         super().__init__(
             f"a worker process died; {len(names)} shard(s) lost: {shown}")
-        self.shards = shards
 
 
 @lru_cache(maxsize=64)
@@ -579,6 +577,6 @@ def enumerate_cycles(k: int, algorithm: str = "dfs", *,
                 for f in paths:
                     os.unlink(f)
     return EnumerationSummary(
-        k=k, algorithm=algorithm, total=sum(per_start.values()),
+        k=k, total=sum(per_start.values()),
         simple=simple if simple_filter else None,
         per_start=per_start, elapsed=time.perf_counter() - started)

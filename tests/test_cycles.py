@@ -260,12 +260,13 @@ class TestEquivalence:
                     assert canonical_key(b) != canonical_key(a)
 
 
-def _coordinate_cell_set(cycle: CycleSeq) -> tuple[int, ...]:
+def _coordinate_cell_set(cells: tuple[int, ...]) -> tuple[int, ...]:
     """The twin key by coordinates: the least of the 8 images, each
     translation-normalized, re-indexed on the standard board and sorted."""
-    board = BoardSpec.for_cycle_length(len(cycle))
+    board = BoardSpec.for_cycle_length(len(cells))
+    coords = CycleSeq(cells, board).coords()
     return min(tuple(sorted(index_of(p, board) for p in
-                            normalize_translation(apply_dihedral(cycle.coords(), elem))))
+                            normalize_translation(apply_dihedral(coords, elem))))
                for elem in DIHEDRAL_ELEMENTS)
 
 
@@ -288,7 +289,7 @@ class TestCellSet:
         shifted = 0
         for key in keys_by_k(k):
             coords = [coord_of(i, standard) for i in key]
-            reference = _coordinate_cell_set(CycleSeq(key, standard))
+            reference = _coordinate_cell_set(key)
             for dr, dc in ((0, 0), (1, 0), (0, 1)):
                 for elem in DIHEDRAL_ELEMENTS:
                     pts = [(r + dr, c + dc) for r, c in
@@ -296,47 +297,32 @@ class TestCellSet:
                     if max(map(max, pts)) >= standard.width:
                         continue
                     shifted += (dr, dc) != (0, 0)
-                    cycle = CycleSeq(tuple(index_of(p, standard) for p in pts), standard)
-                    assert canonical_cell_set(cycle) == reference, (key, elem, dr, dc)
+                    cells = tuple(index_of(p, standard) for p in pts)
+                    assert canonical_cell_set(cells) == reference, (key, elem, dr, dc)
         assert shifted > 0
 
-    @pytest.mark.parametrize("side", [7, 10])
-    def test_refuses_a_cycle_off_its_standard_board(self, side, board6):
-        """A length-8 cycle is keyed on the 9x9 board only: on any other it
-        raises ValueError instead of being re-encoded."""
-        for seq in TWIN_K8_W6:
-            cells = tuple(index_of(p, BoardSpec(side))
-                          for p in validate_cycle(seq, board6).coords())
-            with pytest.raises(ValueError, match="keyed on the 9x9 board"):
-                canonical_cell_set(CycleSeq(cells, BoardSpec(side)))
-        with pytest.raises(ValueError, match="keyed on the 9x9 board"):
-            canonical_cell_set(validate_cycle(TWIN_K8_W6[0], board6))
-
     def test_matches_coordinates_on_every_k10_class(self, keys_by_k):
-        board = BoardSpec.for_cycle_length(10)
         for key in keys_by_k(10):
-            cycle = CycleSeq(key, board)
-            assert canonical_cell_set(cycle) == _coordinate_cell_set(cycle), key
+            assert canonical_cell_set(key) == _coordinate_cell_set(key), key
 
     def test_twins_share_cell_set_key(self, board6):
-        keys = {canonical_cell_set(cycle) for cycle in _twins_on_the_k8_board(board6)}
+        keys = {canonical_cell_set(cycle.cells) for cycle in _twins_on_the_k8_board(board6)}
         assert len(keys) == 1
 
     def test_key_is_ascending_on_standard_board(self, board6):
-        key = canonical_cell_set(_twins_on_the_k8_board(board6)[0])
+        key = canonical_cell_set(_twins_on_the_k8_board(board6)[0].cells)
         assert list(key) == sorted(key)
         assert all(1 <= i <= 81 for i in key)
 
     def test_invariant_under_canonicalization(self, board6):
         for cycle in _twins_on_the_k8_board(board6):
-            assert canonical_cell_set(canonicalize(cycle)) == \
-                canonical_cell_set(cycle)
-            assert canonical_cell_set(canonical_key(cycle)) == \
-                canonical_cell_set(cycle)
+            assert canonical_cell_set(canonicalize(cycle).cells) == \
+                canonical_cell_set(cycle.cells)
+            assert canonical_cell_set(canonical_key(cycle).cells) == \
+                canonical_cell_set(cycle.cells)
 
     def test_all_k6_classes_have_distinct_keys(self, keys_by_k):
-        board = BoardSpec(7)
-        keys = {canonical_cell_set(CycleSeq(key, board)) for key in keys_by_k(6)}
+        keys = {canonical_cell_set(key) for key in keys_by_k(6)}
         assert len(keys) == len(keys_by_k(6)) == 25
 
     def test_crossing_sample_is_a_valid_class(self, keys_by_k):

@@ -587,14 +587,12 @@ class TestEngineCounts:
     def test_dfs(self, k):
         summary = enumerate_cycles(k, "dfs", simple_filter=True, jobs=1)
         assert (summary.total, summary.simple) == EXPECTED_SMALL[k]
-        assert summary.algorithm == "dfs"
         assert sum(summary.per_start.values()) == summary.total
 
     @pytest.mark.parametrize("k", [4, 6, 8])
     def test_mitm(self, k):
         summary = enumerate_cycles(k, "mitm", simple_filter=True, jobs=1)
         assert (summary.total, summary.simple) == EXPECTED_SMALL[k]
-        assert summary.algorithm == "mitm"
         assert sum(summary.per_start.values()) == summary.total
 
     def test_simple_none_without_filter(self):
@@ -948,9 +946,9 @@ class TestFailureModes:
             try:
                 search.enumerate_cycles(8, "dfs", jobs=2, sink=lambda seq: None)
             except search.ShardLostError as exc:
-                plan = [(s,) for s in range(1, 5)]
-                tail = plan[len(plan) - len(exc.shards):]
-                print(exc.shards == tail and (2,) in tail,
+                lost = str(exc).split(" lost: ")[1].split()
+                plan = [str(s) for s in range(1, 5)]
+                print(lost == plan[len(plan) - len(lost):] and "2" in lost,
                       os.listdir(sys.argv[1]))
             sys.exit(cli.main(["count", "--length", "8", "--jobs", "2"]))
         """, tmp_path)
